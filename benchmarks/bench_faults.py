@@ -1,9 +1,9 @@
-"""Robustness layer — checkpoint overhead and fault-path cost.
+"""Robustness layer — checkpointed build and fault-path cost.
 
-The checkpoint manager must keep snapshot time inside its wall-clock
-overhead budget (default 5% of the simulate stage) by skipping
-over-budget boundaries, and the fault layer armed with an empty plan
-must leave the corpus byte-identical to a plain run.
+A checkpointed build runs as one supervised shard persisted to the shard
+manifest; it must leave a restart point on disk and a corpus
+byte-identical to the plain run. The fault layer armed with an empty
+plan must leave the corpus byte-identical to a plain run as well.
 """
 
 import os
@@ -11,7 +11,7 @@ import os
 from conftest import print_comparison
 
 from repro.experiment import ExperimentConfig, run_experiment
-from repro.experiment.checkpoint import list_checkpoints
+from repro.experiment.sharding import SETUP_NAME, ShardManifest
 from repro.experiment.store import corpus_digest
 from repro.faults import BlackoutWindow, FaultPlan
 
@@ -21,25 +21,24 @@ def _config() -> ExperimentConfig:
     return ExperimentConfig(seed=42, scale=scale)
 
 
-def test_checkpoint_overhead_within_budget(benchmark, tmp_path):
+def test_checkpointed_build_is_byte_identical(benchmark, bench_result,
+                                              tmp_path):
     result = benchmark.pedantic(
         run_experiment, args=(_config(),),
         kwargs={"checkpoint_dir": tmp_path},
         rounds=1, iterations=1)
-    simulate = result.stage_seconds["simulate"]
-    in_sim = result.stage_seconds["checkpoint"]
-    setup = result.stage_seconds["checkpoint_setup"]
-    pure = simulate - in_sim
-    print_comparison("Checkpoint overhead", [
-        ("setup snapshot", "one-time", f"{setup:.3f}s"),
-        ("simulate (pure)", "-", f"{pure:.3f}s"),
-        ("in-simulate snapshots", "< 5%",
-         f"{in_sim:.3f}s ({in_sim / pure:.2%})"),
+    identical = corpus_digest(result.corpus) \
+        == corpus_digest(bench_result.corpus)
+    print_comparison("Checkpointed build", [
+        ("wall vs plain build", "-",
+         f"{result.wall_seconds:.3f}s vs {bench_result.wall_seconds:.3f}s"),
+        ("record pass", "-",
+         f"{result.stage_seconds['record_timeline']:.3f}s"),
+        ("corpus", "byte-identical", "match" if identical else "DIVERGED"),
     ])
-    assert list_checkpoints(tmp_path), "no restart point on disk"
-    # the budget guard keeps snapshot time inside the simulate stage
-    # under 5% of the stage at the default cadence
-    assert in_sim <= 0.05 * pure
+    assert (tmp_path / SETUP_NAME).exists(), "no restart point on disk"
+    assert set(ShardManifest.open(tmp_path, 1).completed) == {0}
+    assert identical
 
 
 def test_empty_fault_plan_is_free(benchmark, bench_result):

@@ -3,13 +3,14 @@
 
 Two questions, one report fragment (DESIGN §11):
 
-- **Clean-run overhead.** The supervised process backend (one
-  supervised worker process per shard: exit/hang polling, stderr
-  capture, JSON result files) versus the injected-pool backend, whose
-  dispatch is a bare ``ProcessPoolExecutor.submit`` — the closest
-  surviving stand-in for the pre-supervision fan-out. The acceptance
-  criterion is <= 5% added wall time on the ``shard_simulate`` stage,
-  minimum over ``repeats`` runs of each backend.
+- **Clean-run overhead.** The supervisor (one supervised worker
+  process per shard: exit/hang polling, stderr capture, JSON result
+  files) versus a bare fan-out: the same shard tasks mapped over a
+  bench-local ``ProcessPoolExecutor`` running :func:`run_shard`, the
+  pre-supervision dispatch. The acceptance criterion is <= 5% added
+  wall time on the ``shard_simulate`` stage, minimum over ``repeats``
+  runs of each, with the bare pool timed from pool creation to the last
+  result (the supervisor's stage includes its worker forks too).
 - **Cost of one recovered kill.** A declarative ``kill_shard`` fault
   SIGKILLs one worker halfway through its simulation; the supervisor
   retries it and the run completes. Reported as the wall-clock delta
@@ -26,12 +27,19 @@ from __future__ import annotations
 
 import argparse
 import json
+import multiprocessing
 import os
+import tempfile
+import time
+from concurrent.futures import ProcessPoolExecutor
 
+from repro.bgp.messages import UpdateKind
 from repro.experiment import ExperimentConfig, run_experiment
-from repro.experiment.sharding import shard_pool
+from repro.experiment.driver import deployment_for
+from repro.experiment.sharding import ShardTask, run_shard
 from repro.experiment.store import corpus_digest
 from repro.faults import FaultPlan, ProcessFault
+from repro.sim.rng import RngStreams
 
 #: Clean-run supervision overhead acceptance bound (ISSUE PR 10).
 OVERHEAD_BUDGET = 0.05
@@ -39,6 +47,40 @@ OVERHEAD_BUDGET = 0.05
 #: Fast backoff so the kill-retry number measures re-execution, not
 #: sleeping.
 RETRY = {"max_attempts": 3, "base_delay": 0.05}
+
+
+def _recorded_feed(config: ExperimentConfig) -> tuple:
+    """The announcements of the coordinator's recording pass."""
+    deployment = deployment_for(config, RngStreams(config.seed))
+    deployment.simulator.run_until(config.duration)
+    return tuple(e for e in deployment.collector.journal
+                 if e.kind is UpdateKind.ANNOUNCE)
+
+
+def _segment_digests(shard_results) -> list[dict]:
+    """Per-shard, per-telescope chunk sha256 lists of a fan-out."""
+    return [{name: [chunk["sha256"] for chunk in info["manifest"]]
+             for name, info in sorted(res["segments"].items())}
+            for res in sorted(shard_results, key=lambda r: r["shard"])]
+
+
+def _bare_pool_fan_out(config: ExperimentConfig, num_shards: int,
+                       feed: tuple) -> tuple[float, list[dict]]:
+    """Wall seconds and segment digests of an unsupervised fan-out."""
+    with tempfile.TemporaryDirectory(prefix="repro-bare-") as spill:
+        tasks = [ShardTask(config=config, plan=None, shard=shard,
+                           num_shards=num_shards, spill_dir=spill,
+                           feed=feed, record_obs=False)
+                 for shard in range(num_shards)]
+        started = time.perf_counter()
+        # fork, as the supervisor does, so both pay the same per-worker
+        # startup and the ratio isolates supervision
+        with ProcessPoolExecutor(
+                max_workers=num_shards,
+                mp_context=multiprocessing.get_context("fork")) as pool:
+            results = list(pool.map(run_shard, tasks))
+        wall = time.perf_counter() - started
+    return wall, _segment_digests(results)
 
 
 def bench_shard_faults(seed: int, scale: float, num_shards: int = 2,
@@ -54,6 +96,7 @@ def bench_shard_faults(seed: int, scale: float, num_shards: int = 2,
         digest = corpus_digest(result.corpus)
         if base_digest is None:
             base_digest = digest
+            segments = _segment_digests(result.shard_stats)
         elif digest != base_digest:
             raise SystemExit("supervised sharded build is not "
                              "deterministic — overhead numbers would be "
@@ -62,16 +105,14 @@ def bench_shard_faults(seed: int, scale: float, num_shards: int = 2,
                          result.stage_seconds["shard_simulate"])
         del result
 
+    feed = _recorded_feed(config)
     pooled = float("inf")
     for _ in range(repeats):
-        with shard_pool(num_shards) as pool:
-            result = run_experiment(config, shards=num_shards,
-                                    shard_executor=pool)
-        if corpus_digest(result.corpus) != base_digest:
-            raise SystemExit("pool-backend corpus diverged from the "
-                             "supervised one")
-        pooled = min(pooled, result.stage_seconds["shard_simulate"])
-        del result
+        wall, pool_segments = _bare_pool_fan_out(config, num_shards, feed)
+        if pool_segments != segments:
+            raise SystemExit("bare-pool shard segments diverged from the "
+                             "supervised ones")
+        pooled = min(pooled, wall)
 
     overhead = supervised / pooled - 1.0
 
@@ -108,8 +149,9 @@ def bench_shard_faults(seed: int, scale: float, num_shards: int = 2,
             "digest_matches_clean": True,
         },
         "methodology": (
-            "supervision_overhead_fraction = supervised process-backend "
-            "shard_simulate wall / injected-pool-backend wall - 1, "
+            "supervision_overhead_fraction = supervised shard_simulate "
+            "wall / bare ProcessPoolExecutor fan-out of the same "
+            "run_shard tasks (pool creation to last result) - 1, "
             "minimum over repeats, no flight recorder. kill_retry "
             "SIGKILLs one worker at 50% of its simulated horizon via a "
             "declarative kill_shard fault and reports the wall delta of "

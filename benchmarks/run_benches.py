@@ -15,10 +15,10 @@ production throughput:
   path (kept as the correctness oracle);
 - ``tables`` — per-table generation (Tables 2-8) on a warm analysis,
   fanned out over ``--jobs`` worker threads (default serial);
-- ``robustness`` — the same campaign with crash-safe checkpointing at
-  the default cadence and budget, reporting the setup-snapshot cost and
-  the in-simulate snapshot overhead (which the budget guard must keep
-  under 5% of the simulate stage);
+- ``robustness`` — the same campaign with crash-safe checkpointing
+  (``checkpoint_dir``: one supervised shard persisted to the shard
+  manifest), reporting its wall time, its recording-pass and shard
+  stages, and whether its corpus digest matches the plain build's;
 - ``shard_scaling`` — the sharded multi-process builder at 1/2/4
   shards vs a fresh uninstrumented unsharded build (digest-checked
   byte-identical), reporting the critical path (coordinator recording
@@ -78,7 +78,8 @@ from repro.analysis.context import CorpusAnalysis
 from repro.analysis.parallel import fan_out
 from repro.core.aggregation import AggregationLevel
 from repro.experiment import ExperimentConfig, Phase, run_experiment
-from repro.experiment.checkpoint import list_checkpoints
+from repro.experiment.sharding import ShardManifest
+from repro.experiment.store import corpus_digest
 
 from bench_obs_server import bench_obs_server
 from bench_shard_faults import bench_shard_faults
@@ -286,21 +287,21 @@ def main() -> None:
                     ExperimentConfig(seed=args.seed, scale=args.scale,
                                      batch_emit=True),
                     checkpoint_dir=ckdir))
-            kept = len(list_checkpoints(ckdir))
-        sim = ck_result.stage_seconds["simulate"]
-        in_sim = ck_result.stage_seconds["checkpoint"]
-        setup = ck_result.stage_seconds["checkpoint_setup"]
-        overhead = in_sim / max(sim - in_sim, 1e-9)
+            completed = len(ShardManifest.open(ckdir, 1).completed)
+            digest_ok = corpus_digest(ck_result.corpus) \
+                == corpus_digest(corpus)
+        stages = ck_result.stage_seconds
         robustness = {
             "checkpointed_build": round(ck_seconds, 4),
-            "checkpoint_setup": round(setup, 4),
-            "checkpoint_in_simulate": round(in_sim, 4),
-            "checkpoint_overhead_fraction": round(overhead, 4),
-            "checkpoints_kept": kept,
+            "record_timeline": round(stages["record_timeline"], 4),
+            "shard_simulate": round(stages["shard_simulate"], 4),
+            "shards_completed": completed,
+            "digest_matches_unsharded": digest_ok,
         }
-        print(f"  checkpointed build: {ck_seconds:.2f}s (setup snapshot "
-              f"{setup:.2f}s, in-simulate overhead {overhead:.2%}, "
-              f"{kept} checkpoints kept)")
+        print(f"  checkpointed build: {ck_seconds:.2f}s (record pass "
+              f"{stages['record_timeline']:.2f}s, shard "
+              f"{stages['shard_simulate']:.2f}s, {completed} shard "
+              "checkpointed)")
         del ck_result
         stage_rss["robustness"] = _peak_rss_kb()
 

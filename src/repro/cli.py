@@ -102,23 +102,15 @@ def build_parser() -> argparse.ArgumentParser:
                          help="arm a fault-injection plan (blackouts, "
                               "BGP flaps, packet loss) from a JSON file")
         cmd.add_argument("--checkpoint-dir", metavar="DIR", default=None,
-                         help="write crash-safe checkpoints to this "
-                              "directory while simulating")
-        cmd.add_argument("--checkpoint-every", metavar="SIMSECS",
-                         type=float, default=None,
-                         help="sim-time between checkpoints "
-                              "(default: one simulated week)")
-        cmd.add_argument("--checkpoint-budget", metavar="FRAC",
-                         type=float, default=0.05,
-                         help="cap checkpoint overhead at this fraction "
-                              "of wall time, skipping boundaries over "
-                              "budget (default 0.05; 0 writes every "
-                              "boundary)")
+                         help="make the build crash-safe: run it as "
+                              "supervised shards (one unless --shards "
+                              "says more) and persist every completed "
+                              "shard in this directory")
         cmd.add_argument("--resume", action="store_true",
                          help="continue from --checkpoint-dir instead of "
-                              "starting fresh: the newest valid snapshot "
-                              "of an unsharded run, or (sharded) only "
-                              "the shards the manifest shows incomplete")
+                              "starting fresh, re-running only the "
+                              "shards the manifest shows incomplete (a "
+                              "finer restart point needs more shards)")
         cmd.add_argument("--shards", metavar="N|auto", default=None,
                          help="build the corpus with N supervised "
                               "worker processes ('auto' = one per CPU); "
@@ -241,14 +233,11 @@ def _simulate(args: argparse.Namespace):
         weeks = config.duration / WEEK
         log.info("simulating %.0f weeks at scale %s (seed %s) ...",
                  weeks, args.scale, args.seed)
-        budget = getattr(args, "checkpoint_budget", 0.05)
         shards = getattr(args, "shards", None)
         if shards is not None:
             log.info("sharded build: --shards %s", shards)
         result = run_experiment(
             config, faults=faults, checkpoint_dir=checkpoint_dir,
-            checkpoint_interval=getattr(args, "checkpoint_every", None),
-            checkpoint_budget=budget if budget > 0 else None,
             shards=shards, run_id=run_id, ledger_dir=ledger_dir)
     log.info("done in %.1fs: %s packets",
              result.wall_seconds, f"{result.corpus.total_packets():,}")

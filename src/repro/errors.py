@@ -40,13 +40,12 @@ class FaultError(ReproError):
 
 
 class ShardError(ExperimentError):
-    """A shard worker failed terminally (crash, hang, broken pool).
+    """A shard worker failed terminally (crash or hang).
 
     Carries the shard index, the attempt that exhausted the retry
     budget, a short machine-readable cause (``exitcode -9``,
-    ``timeout``, ``BrokenProcessPool``), and the tail of the worker's
-    captured stderr, so operators see the worker's actual traceback
-    instead of a bare pool exception raised in the coordinator.
+    ``timeout``), and the tail of the worker's captured stderr, so
+    operators see the worker's actual traceback.
     """
 
     def __init__(self, message: str, *, shard: int | None = None,

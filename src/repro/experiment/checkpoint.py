@@ -1,10 +1,8 @@
-"""Crash-safe experiment checkpoints.
+"""Verified, atomic state files for crash-safe runs.
 
-A checkpoint is one file holding the *entire* live simulation graph —
-clock, event queue (all callbacks are picklable partials/bound methods by
-construction), RNG streams, BGP fabric, captures with their partial
-columnar builders, scanner agents and their pending deferred batches —
-pickled in a single graph so object identity survives the round trip.
+A checkpointed run persists its setup — the ``(config, plan,
+num_shards)`` a resumed coordinator re-derives the run from — as one
+state file next to the shard manifest (DESIGN §11).
 
 File format::
 
@@ -12,11 +10,9 @@ File format::
 
 Writes are atomic: the payload goes to a ``.tmp`` sibling, is fsynced,
 and only then renamed over the final name, so a crash mid-write can never
-leave a truncated file under a checkpoint name. Readers verify the magic
+leave a truncated file under the final name. Readers verify the magic
 and the content checksum and raise :class:`repro.errors.CheckpointError`
-(a :class:`~repro.errors.StoreError`) on any mismatch; resume picks the
-newest checkpoint that passes verification, quarantining broken ones by
-skipping them with a warning.
+(a :class:`~repro.errors.StoreError`) on any mismatch.
 """
 
 from __future__ import annotations
@@ -24,11 +20,7 @@ from __future__ import annotations
 import hashlib
 import os
 import pickle
-import time as _time
-from contextlib import contextmanager
-from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable
 
 from repro import obs
 from repro.errors import CheckpointError
@@ -36,20 +28,12 @@ from repro.errors import CheckpointError
 MAGIC = b"RPCKPT01"
 FORMAT_VERSION = 1
 
-log = obs.log.get_logger("checkpoint")
-
-
-def checkpoint_name(sim_time: float) -> str:
-    """Canonical file name; lexicographic order == sim-time order."""
-    return f"ckpt_{int(sim_time):015d}.rpck"
-
 
 def write_state(path: str | Path, state: dict) -> Path:
     """Atomically persist ``state`` in checkpoint format at ``path``.
 
-    The shared primitive under :func:`write_checkpoint` and the sharded
-    setup snapshot: magic + sha256 + pickle, written to a ``.tmp``
-    sibling, fsynced, then renamed into place.
+    Magic + sha256 + pickle, written to a ``.tmp`` sibling, fsynced,
+    then renamed into place.
     """
     final = Path(path)
     final.parent.mkdir(parents=True, exist_ok=True)
@@ -67,18 +51,8 @@ def write_state(path: str | Path, state: dict) -> Path:
     return final
 
 
-def write_checkpoint(directory: str | Path, state: dict,
-                     sim_time: float) -> Path:
-    """Atomically persist ``state`` as the checkpoint for ``sim_time``."""
-    final = write_state(Path(directory) / checkpoint_name(sim_time), state)
-    obs.add("checkpoint.writes_total")
-    obs.event("checkpoint.write", path=final.name, sim_time=sim_time,
-              bytes=final.stat().st_size - len(MAGIC) - 32)
-    return final
-
-
 def read_checkpoint(path: str | Path) -> dict:
-    """Load and verify one checkpoint file.
+    """Load and verify one state file written by :func:`write_state`.
 
     Raises :class:`CheckpointError` carrying the path and the failed
     check when the file is missing, truncated, tampered with, or not a
@@ -116,169 +90,3 @@ def read_checkpoint(path: str | Path) -> dict:
             path=path, check="format_version")
     obs.add("checkpoint.reads_total")
     return state
-
-
-def list_checkpoints(directory: str | Path) -> list[Path]:
-    """All checkpoint files in ``directory``, oldest first."""
-    directory = Path(directory)
-    if not directory.is_dir():
-        return []
-    return sorted(directory.glob("ckpt_*.rpck"))
-
-
-def latest_checkpoint(directory: str | Path) -> tuple[Path, dict]:
-    """The newest checkpoint that passes verification.
-
-    Corrupt or truncated checkpoints are skipped (newest first) with a
-    warning — a crash can race the retention sweep but never the atomic
-    write, so an older valid snapshot is the correct fallback. Raises
-    :class:`CheckpointError` when none survives.
-    """
-    candidates = list_checkpoints(directory)
-    if not candidates:
-        raise CheckpointError(f"no checkpoints in {directory}",
-                              path=Path(directory), check="exists")
-    for path in reversed(candidates):
-        try:
-            return path, read_checkpoint(path)
-        except CheckpointError as exc:
-            log.warning("skipping unusable checkpoint %s (%s)",
-                        path.name, exc.check)
-            obs.add("checkpoint.quarantined_total")
-            obs.event("checkpoint.quarantine", path=path.name,
-                      check=exc.check)
-    raise CheckpointError(
-        f"all {len(candidates)} checkpoints in {directory} are corrupt",
-        path=Path(directory), check="sha256")
-
-
-@dataclass
-class CheckpointManager:
-    """Drives periodic snapshots of a running experiment.
-
-    ``interval`` is simulated seconds between snapshots. ``keep`` bounds
-    disk usage: after each write, older checkpoints beyond the newest
-    ``keep`` are deleted. ``after_write`` is a post-write hook (used by
-    the kill-resume tests to die at a precise point); it is never
-    pickled because the manager itself stays outside the simulation
-    graph.
-
-    ``overhead_budget`` caps the wall-clock share of a budget window
-    (the simulate stage) that snapshot writes may consume (e.g. ``0.05``
-    = 5%). Serializing the whole live graph costs the same no matter how
-    little sim time passed, so a fixed sim-time cadence would dominate
-    short or fast runs; instead :meth:`should_write` lets the driver
-    skip a boundary whenever the window's cumulative snapshot time plus
-    one projected write (the last measured cost — the driver seeds it
-    with a pre-simulate setup snapshot, so the projection is informed
-    from the first boundary) would exceed half the budget; the half
-    leaves headroom for cost variance. Skipping a snapshot never changes
-    simulation state, so the corpus stays byte-identical regardless of
-    which boundaries were persisted. ``None`` disables the guard (every
-    boundary is written).
-    """
-
-    directory: Path
-    interval: float
-    keep: int = 2
-    after_write: Callable[[Path], None] | None = None
-    overhead_budget: float | None = None
-    written: int = field(default=0, init=False)
-    #: cumulative wall seconds spent inside :meth:`write`
-    spent_seconds: float = field(default=0.0, init=False)
-    _last_cost: float = field(default=0.0, init=False)
-    _window_base: float = field(default=0.0, init=False)
-
-    def __post_init__(self) -> None:
-        self.directory = Path(self.directory)
-        if self.interval <= 0:
-            raise CheckpointError(
-                f"checkpoint interval must be > 0, got {self.interval}")
-        if self.keep < 1:
-            raise CheckpointError(f"keep must be >= 1, got {self.keep}")
-
-    def begin_budget_window(self) -> None:
-        """Start a fresh budget accounting window (e.g. the simulate
-        stage); snapshots written before it no longer count against the
-        window's budget, but their cost still informs the projection."""
-        self._window_base = self.spent_seconds
-
-    @property
-    def window_spent(self) -> float:
-        """Wall seconds spent on snapshots inside the current window."""
-        return self.spent_seconds - self._window_base
-
-    def seed_cost(self, last_cost: float) -> None:
-        """Prime the cost projection (restored from checkpoint state)."""
-        self._last_cost = max(0.0, last_cost)
-
-    def should_write(self, wall_elapsed: float) -> bool:
-        """Whether a snapshot at this boundary fits the overhead budget."""
-        if self.overhead_budget is None or self.written == 0:
-            return True
-        projected = self.window_spent + self._last_cost
-        return projected <= 0.5 * self.overhead_budget * wall_elapsed
-
-    def write(self, state: dict, sim_time: float) -> Path:
-        started = _time.perf_counter()
-        with obs.span("checkpoint.write", sim_time=sim_time):
-            path = write_checkpoint(self.directory, state, sim_time)
-        self._last_cost = _time.perf_counter() - started
-        self.spent_seconds += self._last_cost
-        self.written += 1
-        self._sweep()
-        log.debug("checkpoint %s written (%d so far)", path.name,
-                  self.written)
-        if self.after_write is not None:
-            self.after_write(path)
-        return path
-
-    def _sweep(self) -> None:
-        stale = list_checkpoints(self.directory)[:-self.keep]
-        for path in stale:
-            try:
-                path.unlink()
-            except OSError:  # pragma: no cover - concurrent sweep
-                pass
-
-
-@contextmanager
-def pickling_guard(deployment):
-    """Temporarily drop unpicklable per-run attachments.
-
-    The flight-recorder heartbeat holds thread locks and the captures
-    cache bound obs counters owned by the active recorder; both rebind
-    lazily after a restore, so they are cleared for the duration of the
-    pickle and put back so the live run keeps its hot-path caches.
-    """
-    simulator = deployment.simulator
-    saved_beat = simulator.heartbeat
-    saved_caches = [
-        (t.capture, t.capture._obs_counter, t.capture._obs_owner)
-        for t in deployment.telescopes.values()]
-    simulator.heartbeat = None
-    for capture, _, _ in saved_caches:
-        capture._obs_counter = None
-        capture._obs_owner = None
-    try:
-        yield
-    finally:
-        simulator.heartbeat = saved_beat
-        for capture, counter, owner in saved_caches:
-            capture._obs_counter = counter
-            capture._obs_owner = owner
-
-
-def build_state(config, registry, deployment, population, context,
-                stage_seconds: dict[str, float]) -> dict:
-    """Assemble the one-graph checkpoint payload."""
-    return {
-        "format_version": FORMAT_VERSION,
-        "sim_time": deployment.simulator.now,
-        "config": config,
-        "registry": registry,
-        "deployment": deployment,
-        "population": population,
-        "context": context,
-        "stage_seconds": dict(stage_seconds),
-    }

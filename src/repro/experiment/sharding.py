@@ -34,16 +34,16 @@ and ``tests/test_store_v2.py`` pin this with ``corpus_digest`` as the
 oracle.
 
 Workers are stateless: every task rebuilds its world from the picklable
-:class:`ShardTask`, so any process pool (fresh, reused, fork or spawn)
-executes it correctly, and a *retried* task re-executes byte-identically
-— the :class:`ShardSupervisor` (DESIGN §11) leans on exactly that:
-it detects crashed, hung, or pool-broken workers, retries them with
-bounded attempts and exponential backoff, and either raises a
-:class:`~repro.errors.ShardError` carrying the worker's captured stderr
-or quarantines the shard as coverage gaps (``on_shard_failure=
-"degrade"``). Completed shards are recorded in a crash-safe
-:class:`ShardManifest`, which is how a coordinator kill resumes by
-re-running only the missing shards.
+:class:`ShardTask`, so a fresh worker process executes it correctly, and
+a *retried* task re-executes byte-identically — the
+:class:`ShardSupervisor` (DESIGN §11) leans on exactly that: it runs
+one supervised process per shard, detects crashed or hung workers,
+retries them with bounded attempts and exponential backoff, and either
+raises a :class:`~repro.errors.ShardError` carrying the worker's
+captured stderr or quarantines the shard as coverage gaps
+(``on_shard_failure="degrade"``). Completed shards are recorded in a
+crash-safe :class:`ShardManifest`, which is how a coordinator kill
+resumes by re-running only the missing shards.
 """
 
 from __future__ import annotations
@@ -56,9 +56,6 @@ import signal
 import sys
 import threading
 import time
-import traceback
-from concurrent.futures import (Executor, FIRST_COMPLETED,
-                                ProcessPoolExecutor, wait as futures_wait)
 from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -68,22 +65,21 @@ from repro import obs
 from repro.obs import events as obsevents
 from repro.obs.metrics import _parse_key
 from repro.bgp.collector import CollectorEntry
-from repro.bgp.messages import UpdateKind
 from repro.core.columnar import ChunkedPacketTable, PacketTable
 from repro.errors import ExperimentError, ShardError
 from repro.experiment.config import ExperimentConfig, RetryPolicy
 from repro.experiment.corpus import TELESCOPE_NAMES
-from repro.experiment.store import (DEFAULT_CHUNK_ROWS, open_table_chunks,
+from repro.experiment.driver import (context_for, deployment_for,
+                                     population_for)
+from repro.experiment.store import (CHUNK_COLUMNS, DEFAULT_CHUNK_ROWS,
+                                    chunk_file, open_table_chunks,
                                     write_table_chunks)
 from repro.faults import FaultInjector, FaultPlan
-from repro.scanners.base import (ConstPackets, Scanner, ScannerContext,
-                                 TemporalKind, UniformPackets)
-from repro.scanners.population import PopulationInputs, build_population
+from repro.scanners.base import (ConstPackets, Scanner, TemporalKind,
+                                 UniformPackets)
 from repro.scanners.registry import ASRegistry
 from repro.sim.events import Simulator
 from repro.sim.rng import RngStreams
-from repro.telescope.deployment import (T1_PREFIX, T2_PREFIX, T3_PREFIX,
-                                        T4_PREFIX, build_deployment)
 
 _log = obs.log.get_logger("sharding")
 
@@ -314,7 +310,7 @@ class ShardTask:
     """Everything a worker needs to rebuild and run its shard.
 
     Deliberately limited to picklable, value-semantic fields so the task
-    crosses any process-pool boundary (fork or spawn) unchanged.
+    crosses any process boundary (fork or spawn) unchanged.
     """
 
     config: ExperimentConfig
@@ -325,10 +321,8 @@ class ShardTask:
     #: announcements of the recorded collector journal (the
     #: coordinator's recording pass) the worker replays instead of
     #: simulating the BGP flood itself — withdrawals are pruned because
-    #: every subscriber a worker can host ignores them; ``None`` falls
-    #: back to the self-contained mode where the worker runs the full
-    #: fabric — slower, but needs no coordinator pass.
-    feed: tuple[CollectorEntry, ...] | None = None
+    #: every subscriber a worker can host ignores them.
+    feed: tuple[CollectorEntry, ...]
     #: run the worker under its own FlightRecorder and return a metrics
     #: snapshot; the coordinator turns this off when it has no recorder
     #: itself, sparing the workers the recording overhead.
@@ -346,10 +340,6 @@ class ShardTask:
     #: sim-seconds between worker heartbeat/metric-delta events
     #: (``None``/0 = no periodic beats, only start/end records).
     heartbeat_interval: float | None = None
-    #: pid of the coordinator — a worker only reconfigures process-wide
-    #: logging when it actually runs in a different process (the serial
-    #: fallback path executes tasks inside the coordinator).
-    coordinator_pid: int = 0
     #: 1-based execution attempt, stamped by the supervisor on retries.
     #: Purely observational plus the gate for per-attempt process
     #: faults — the simulation itself never reads it, which is what
@@ -380,9 +370,8 @@ def run_shard(task: ShardTask) -> dict:
     # telemetry spooling: the worker's own event log (stamped shard=i)
     # plus, at the end, its full span tree — the coordinator tails the
     # former live and merges the latter into the single campaign trace.
-    # The inherited process-wide event log (fork pool) or the live
-    # coordinator one (serial fallback) is saved and restored, never
-    # written to from shard code.
+    # The process-wide event log inherited from the coordinator (fork)
+    # is saved and restored, never written to from shard code.
     previous_log = obsevents.current()
     event_log: obsevents.EventLog | None = None
     spooling = task.record_obs and task.obs_spool is not None
@@ -391,7 +380,7 @@ def run_shard(task: ShardTask) -> dict:
             obsevents.spool_path(task.obs_spool, task.shard),
             run_id=task.run_id, shard=task.shard)
         obsevents.install(event_log)
-        if task.run_id and os.getpid() != task.coordinator_pid:
+        if task.run_id:
             obs.log.configure(run_id=f"{task.run_id}/s{task.shard}")
     else:
         obsevents.uninstall()
@@ -420,61 +409,31 @@ def _run_shard_body(task: ShardTask, stage, stage_wall: dict,
                       shards=task.num_shards):
             streams = RngStreams(config.seed)
             simulator = Simulator(shard=task.shard)
-            deployment = build_deployment(
-                streams,
-                simulator=simulator,
-                baseline_weeks=config.baseline_weeks,
-                cycle_weeks=config.cycle_weeks,
-                num_cycles=config.num_cycles,
-                num_tier1=config.num_tier1,
-                num_tier2=config.num_tier2,
-                num_stubs=config.num_stubs,
-                feed_delay=config.feed_delay,
-                replay_feed=task.feed)
-            registry = ASRegistry()
-            inputs = PopulationInputs(
-                schedule=deployment.cycles(),
-                announced=deployment.announced_t1_prefixes,
-                t1_prefix=T1_PREFIX,
-                t2_prefix=T2_PREFIX,
-                t3_prefix=T3_PREFIX,
-                t4_prefix=T4_PREFIX,
-                attractor_addr=deployment.productive.attractor_addr,
-                duration=config.duration)
+            deployment = deployment_for(config, streams,
+                                        simulator=simulator,
+                                        replay_feed=task.feed)
             # the population build is replayed in full — its shared
             # assignment stream must see the same draw sequence as the
             # unsharded build — and only then thinned to this shard
-            population = build_population(config.population, inputs,
-                                          registry, streams)
+            population = population_for(config, deployment, ASRegistry(),
+                                        streams)
             stage("build")
 
-            context = ScannerContext(
-                simulator=simulator,
-                route=deployment.route,
-                route_batch=deployment.route_batch,
-                batch_emit=True,
-                defer_batch=True,
-                collector=deployment.collector,
-                window_start=0.0,
-                window_end=config.duration)
-            announce_count = 0 if task.feed is None else sum(
-                1 for e in task.feed if e.kind is UpdateKind.ANNOUNCE)
+            context = context_for(config, deployment, batch_emit=True)
             assign = weighted_assignment(population, task.num_shards,
-                                         config.duration, announce_count)
+                                         config.duration, len(task.feed))
             mine = [s for s in population
                     if assign[s.scanner_id] == task.shard]
             for scanner in mine:
                 scanner.start(context)
             if task.plan is not None:
-                # with a recorded feed the flap's BGP side is already in
-                # the journal; arm only the data-plane faults
+                # the flap's BGP side is already in the recorded feed;
+                # arm only the data-plane faults
                 injector = FaultInjector(task.plan, seed=config.seed)
-                injector.install(deployment,
-                                 control_plane=task.feed is None)
+                injector.install(deployment, control_plane=False)
                 injector.arm_process_faults(
                     simulator, shard=task.shard, duration=config.duration,
-                    attempt=task.attempt,
-                    coordinator_pid=task.coordinator_pid)
+                    attempt=task.attempt)
             stage("schedule")
 
             if recorder is not None and task.heartbeat_interval:
@@ -760,11 +719,10 @@ def merge_shard_traces(recorder, spool_dir: str | Path,
 #: File name of the completed-shards manifest inside a checkpoint dir.
 MANIFEST_NAME = "shards.json"
 
-#: File name of the sharded-run setup snapshot inside a checkpoint dir:
-#: the pickled ``(config, plan, num_shards)`` a resumed coordinator
-#: needs to re-derive the run deterministically (checkpoint file
-#: format — magic + sha256 + pickle). Its presence is how
-#: ``resume_experiment`` recognizes a sharded checkpoint directory.
+#: File name of the setup snapshot inside a checkpoint dir: the pickled
+#: ``(config, plan, num_shards)`` a resumed coordinator needs to
+#: re-derive the run deterministically (checkpoint file format — magic +
+#: sha256 + pickle, see :mod:`repro.experiment.checkpoint`).
 SETUP_NAME = "shards.setup.rpck"
 
 
@@ -841,8 +799,8 @@ class ShardManifest:
         Segment directories are re-derived from ``spill_root`` (the
         canonical ``<root>/shardNNN/<telescope>`` layout) rather than
         trusted from the stored absolute paths, so a moved checkpoint
-        directory restores correctly. A shard with any missing chunk
-        file is dropped — it simply re-runs.
+        directory restores correctly. A shard missing any column file of
+        any chunk is dropped — it simply re-runs.
         """
         spill_root = Path(spill_root)
         good: dict[int, dict] = {}
@@ -853,8 +811,8 @@ class ShardManifest:
                 chunk_dir = spill_root / f"shard{shard:03d}" / name
                 manifest = info.get("manifest") or []
                 if not all(
-                        (chunk_dir / f"{c['name']}.time.npy").exists()
-                        for c in manifest):
+                        chunk_file(chunk_dir, c["name"], column).exists()
+                        for c in manifest for column in CHUNK_COLUMNS):
                     intact = False
                     break
                 segments[name] = dict(info, dir=str(chunk_dir))
@@ -903,39 +861,29 @@ class ShardSupervisor:
     """Run shard tasks under failure detection, bounded retry, and
     graceful degradation (DESIGN §11).
 
-    Two backends share one policy engine:
+    Every shard runs in its own supervised ``multiprocessing.Process``.
+    The supervisor polls for exits (a missing result file or nonzero
+    exitcode is a failure, with the worker's captured stderr tail as
+    the diagnosis) and enforces per-shard wall-clock timeouts derived
+    from the LPT cost model — a shard whose telemetry spool stops
+    growing for its budget is declared hung and SIGKILLed. Workers arm
+    ``PR_SET_PDEATHSIG`` so a SIGKILLed coordinator cannot leak orphans
+    into a spill directory a resumed run will reuse.
 
-    - **process backend** (default, ``executor=None``): one supervised
-      ``multiprocessing.Process`` per shard. The supervisor polls for
-      exits (a missing result file or nonzero exitcode is a failure,
-      with the worker's captured stderr tail as the diagnosis) and
-      enforces per-shard wall-clock timeouts derived from the LPT cost
-      model — a shard whose telemetry spool stops growing for its
-      budget is declared hung and SIGKILLed. Workers arm
-      ``PR_SET_PDEATHSIG`` so a SIGKILLed coordinator cannot leak
-      orphans into a spill directory a resumed run will reuse.
-    - **executor backend** (an injected pool): failures surface as
-      future exceptions (including ``BrokenProcessPool``, which breaks
-      the pool permanently — later attempts run serially in the
-      coordinator). Hang timeouts are not enforced here: a pool gives
-      no handle to kill one worker.
-
-    Either way a failed shard is retried up to
-    ``policy.max_attempts`` times with exponential backoff, its spill
-    and telemetry remnants wiped first so the re-execution is
-    byte-identical to a first try. A shard that exhausts its budget
-    raises :class:`~repro.errors.ShardError` (strict) or is quarantined
-    (``on_failure="degrade"``) for the driver to turn into coverage
-    gaps. Progress is narrated as ``shard.retry`` / ``shard.timeout`` /
-    ``shard.quarantined`` / ``shard.skipped`` events and
-    ``sharding.*_total`` counters.
+    A failed shard is retried up to ``policy.max_attempts`` times with
+    exponential backoff, its spill and telemetry remnants wiped first so
+    the re-execution is byte-identical to a first try. A shard that
+    exhausts its budget raises :class:`~repro.errors.ShardError`
+    (strict) or is quarantined (``on_failure="degrade"``) for the driver
+    to turn into coverage gaps. Progress is narrated as ``shard.retry``
+    / ``shard.timeout`` / ``shard.quarantined`` / ``shard.skipped``
+    events and ``sharding.*_total`` counters.
     """
 
     def __init__(self, tasks: Mapping[int, ShardTask], *,
                  policy: "RetryPolicy | Mapping | None" = None,
                  timeouts: Mapping[int, float] | None = None,
                  on_failure: str = "raise",
-                 executor: Executor | None = None,
                  tailer: SpoolTailer | None = None,
                  completed: Mapping[int, dict] | None = None,
                  on_complete: "Callable[[int, dict], None] | None" = None,
@@ -945,7 +893,6 @@ class ShardSupervisor:
         self.policy = RetryPolicy.of(policy)
         self.timeouts = dict(timeouts) if timeouts is not None else None
         self.on_failure = on_failure
-        self.executor = executor
         self.tailer = tailer
         self.on_complete = on_complete
         self.runner = runner
@@ -981,10 +928,7 @@ class ShardSupervisor:
                 obsevents.emit("shard.skipped", shard=shard)
         pending = [s for s in self._states.values() if not s.done]
         if pending:
-            if self.executor is not None:
-                self._run_executor(pending)
-            else:
-                self._run_processes(pending)
+            self._run_processes(pending)
         return [state.result
                 for _, state in sorted(self._states.items())]
 
@@ -1196,101 +1140,12 @@ class ShardSupervisor:
         state.process = None
         self._fail(state, "timeout")
 
-    # -- executor backend --------------------------------------------------
-
-    def _run_executor(self, pending: list[_ShardState]) -> None:
-        pool_broken = False
-
-        def submit(state: _ShardState):
-            nonlocal pool_broken
-            state.attempt += 1
-            task = replace(state.task, attempt=state.attempt)
-            if not pool_broken and state.attempt < self.policy.max_attempts \
-                    or state.attempt == 1:
-                try:
-                    return self.executor.submit(self.runner, task)
-                except Exception as exc:
-                    pool_broken = True
-                    self._fail(state, f"{type(exc).__name__}: {exc}")
-                    return None
-            # last-resort attempt: run the shard inside the coordinator
-            # (slower, never wrong) — mirrors fan_out's serial fallback
-            obs.add("sharding.serial_fallbacks_total")
-            _log.warning("shard %d attempt %d running serially in the "
-                         "coordinator", state.task.shard, state.attempt)
-            try:
-                self._succeed(state, self.runner(task))
-            except Exception:
-                self._fail(state, "serial execution failed",
-                           traceback.format_exc(limit=16).strip())
-            return None
-
-        futures: dict = {}
-        for state in pending:
-            future = submit(state)
-            if future is not None:
-                futures[future] = state
-        while futures or any(not s.done for s in pending):
-            if not futures:
-                # every remaining shard is between attempts
-                for state in pending:
-                    if not state.done:
-                        self._await_backoff(state)
-                        future = submit(state)
-                        if future is not None:
-                            futures[future] = state
-                continue
-            done, _ = futures_wait(list(futures),
-                                   return_when=FIRST_COMPLETED)
-            for future in done:
-                state = futures.pop(future)
-                try:
-                    self._succeed(state, future.result())
-                    continue
-                except ShardError:
-                    raise
-                except Exception as exc:
-                    cause = type(exc).__name__
-                    if "Broken" in cause:
-                        pool_broken = True
-                    detail = "".join(traceback.format_exception(
-                        exc)).strip()
-                    self._fail(state, cause, detail[-2048:])
-                if not state.done:
-                    self._await_backoff(state)
-                    future = submit(state)
-                    if future is not None:
-                        futures[future] = state
-
-    @staticmethod
-    def _await_backoff(state: _ShardState) -> None:
-        remaining = state.not_before - time.monotonic()
-        if remaining > 0:
-            time.sleep(remaining)
-
-
-def shard_pool(max_workers: int) -> ProcessPoolExecutor:
-    """Process pool for shard workers.
-
-    Prefers the fork start method (POSIX): workers inherit the parent's
-    imported modules copy-on-write, so task startup is milliseconds
-    instead of a fresh interpreter boot. Workers rebuild all *run* state
-    from the task itself, so the pool is safely reusable across calls —
-    hand it to :func:`repro.analysis.parallel.fan_out` or
-    ``run_experiment(shard_executor=...)`` as often as needed.
-    """
-    methods = multiprocessing.get_all_start_methods()
-    ctx = multiprocessing.get_context(
-        "fork" if "fork" in methods else None)
-    return ProcessPoolExecutor(max_workers=max_workers, mp_context=ctx)
-
 
 def run_shards(config: ExperimentConfig,
                plan: FaultPlan | None,
                num_shards: int,
                spill_dir: str | Path,
-               executor: Executor | None = None,
-               feed: tuple[CollectorEntry, ...] | None = None,
+               feed: tuple[CollectorEntry, ...],
                record_obs: bool = True,
                obs_spool: str | Path | None = None,
                run_id: str | None = None,
@@ -1308,13 +1163,12 @@ def run_shards(config: ExperimentConfig,
     :class:`ShardTask`); start a :class:`SpoolTailer` over the same
     directory to consume it live and pass it in as ``tailer`` so a
     retried shard's live-folded counters reset cleanly. All execution
-    goes through the :class:`ShardSupervisor` — by default its process
-    backend (one supervised worker process per shard, crash/hang
-    detection and bounded retries per ``config.retry_policy``);
-    ``executor`` switches to the injected-pool backend. ``completed``
-    pre-seeds manifest-restored shards (skipped, not re-run) and
-    ``on_complete`` fires per fresh completion (the driver records the
-    manifest there). A quarantined shard's slot holds ``None``.
+    goes through the :class:`ShardSupervisor` (one supervised worker
+    process per shard, crash/hang detection and bounded retries per
+    ``config.retry_policy``). ``completed`` pre-seeds manifest-restored
+    shards (skipped, not re-run) and ``on_complete`` fires per fresh
+    completion (the driver records the manifest there). A quarantined
+    shard's slot holds ``None``.
     """
     tasks = {
         index: ShardTask(
@@ -1322,13 +1176,12 @@ def run_shards(config: ExperimentConfig,
             num_shards=num_shards, spill_dir=str(spill_dir),
             feed=feed, record_obs=record_obs,
             obs_spool=str(obs_spool) if obs_spool is not None else None,
-            run_id=run_id, heartbeat_interval=heartbeat_interval,
-            coordinator_pid=os.getpid())
+            run_id=run_id, heartbeat_interval=heartbeat_interval)
         for index in range(num_shards)}
     supervisor = ShardSupervisor(
         tasks, policy=config.retry_policy, timeouts=timeouts,
-        on_failure=config.on_shard_failure, executor=executor,
-        tailer=tailer, completed=completed, on_complete=on_complete)
+        on_failure=config.on_shard_failure, tailer=tailer,
+        completed=completed, on_complete=on_complete)
     ordered = supervisor.run()
     for res in ordered:
         if res is None:

@@ -221,9 +221,8 @@ class FaultPlan:
 class FaultInjector:
     """Wires a :class:`FaultPlan` into a built deployment.
 
-    The injector is part of the simulated world once installed (its flap
-    and marker callbacks sit in the event queue), so it is picklable and
-    checkpoints transparently with the rest of the run.
+    The injector is part of the simulated world once installed: its flap
+    and marker callbacks sit in the event queue.
     """
 
     plan: FaultPlan
@@ -284,23 +283,17 @@ class FaultInjector:
                     deployment.streams.seed_for("faults.loss")
 
     def arm_process_faults(self, simulator, *, shard: int, duration: float,
-                           attempt: int = 1,
-                           coordinator_pid: int | None = None) -> int:
+                           attempt: int = 1) -> int:
         """Schedule this shard's process faults on its worker simulator.
 
         Called by the shard worker body, not by :meth:`install`: process
         faults target the worker's own process, and must re-arm (or not)
-        per attempt. Faults for other shards, attempts past the fault's
-        ``max_attempt``, or a worker that is actually the coordinator
-        (serial fallback runs the shard body in-process, where a
-        self-SIGKILL would take down the whole run) are skipped.
-        Returns the number of faults armed. Arming draws no RNG and
-        the trigger fires strictly at its scheduled sim time, so a
-        surviving attempt's output is byte-identical to an unfaulted
-        run.
+        per attempt. Faults for other shards and attempts past the
+        fault's ``max_attempt`` are skipped. Returns the number of
+        faults armed. Arming draws no RNG and the trigger fires strictly
+        at its scheduled sim time, so a surviving attempt's output is
+        byte-identical to an unfaulted run.
         """
-        if coordinator_pid is not None and os.getpid() == coordinator_pid:
-            return 0
         armed = 0
         for fault in self.plan.process_faults:
             if fault.shard != shard or attempt > fault.max_attempt:

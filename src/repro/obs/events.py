@@ -1,8 +1,9 @@
 """Append-only, schema-versioned JSONL run-event log.
 
 One :class:`EventLog` records the *structured* history of a run — stage
-transitions, checkpoints, fault injections, chunk quarantines,
-degradation warnings, shard lifecycle — as one JSON object per line.
+transitions, shard-manifest records, fault injections, chunk
+quarantines, degradation warnings, shard lifecycle — as one JSON object
+per line.
 Every record carries the run id, a monotonically increasing sequence
 number, and both wall-clock (``wall``, epoch seconds — comparable
 across processes) and monotonic (``mono`` — immune to clock steps)

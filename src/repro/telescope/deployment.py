@@ -62,9 +62,8 @@ def _loss_uniforms(dst_hi: np.ndarray, dst_lo: np.ndarray,
 
     Keyed on ``(dst, time, seed)`` through a splitmix64-style finalizer,
     so the coin for a packet never depends on draw order: the scalar and
-    batch routing paths, a checkpoint/resume run, and every sharded
-    partition of the scanner population all flip the same coin for the
-    same packet.
+    batch routing paths and every sharded partition of the scanner
+    population all flip the same coin for the same packet.
     """
     with np.errstate(over="ignore"):
         x = (np.ascontiguousarray(dst_hi, dtype=np.uint64)

@@ -1,42 +1,9 @@
-"""Tests for repro.analysis.parallel (fan-out with bounded retry)."""
-
-import threading
-from concurrent.futures import ThreadPoolExecutor
-from functools import partial
+"""Tests for repro.analysis.parallel (fail-fast fan-out)."""
 
 import pytest
 
-from repro import obs
-from repro.analysis import parallel
 from repro.analysis.parallel import fan_out
 from repro.errors import AnalysisError
-
-
-def _square(x: int) -> int:
-    """Module-level so a process pool can pickle it."""
-    return x * x
-
-
-@pytest.fixture(autouse=True)
-def _fast_backoff(monkeypatch):
-    monkeypatch.setattr(parallel, "RETRY_BACKOFF", 0.0)
-
-
-class FlakyTask:
-    """Fails the first ``failures`` calls, then succeeds."""
-
-    def __init__(self, failures: int, value: object = "ok"):
-        self.failures = failures
-        self.value = value
-        self.calls = 0
-        self._lock = threading.Lock()
-
-    def __call__(self):
-        with self._lock:
-            self.calls += 1
-            if self.calls <= self.failures:
-                raise RuntimeError(f"crash #{self.calls}")
-        return self.value
 
 
 class TestFanOut:
@@ -51,79 +18,18 @@ class TestFanOut:
         with pytest.raises(AnalysisError):
             fan_out({"a": lambda: 1}, jobs=0)
 
-    @pytest.mark.parametrize("jobs", [1, 4])
-    def test_crashing_worker_retried_once(self, jobs):
-        flaky = FlakyTask(failures=1)
-        with obs.FlightRecorder() as recorder:
-            results = fan_out({"flaky": flaky, "solid": lambda: 7},
-                              jobs=jobs)
-        assert results["flaky"][1] == "ok"
-        assert results["solid"][1] == 7
-        assert flaky.calls == 2
-        counters = recorder.metrics.snapshot()["counters"]
-        assert counters[
-            "analysis.fanout_retries_total{task=flaky}"] == 1
-
-    def test_double_crash_falls_back_to_serial(self):
-        flaky = FlakyTask(failures=2)
-        with obs.FlightRecorder() as recorder:
-            results = fan_out({"flaky": flaky, "solid": lambda: 7},
-                              jobs=2)
-        assert results["flaky"][1] == "ok"
-        assert flaky.calls == 3
-        assert list(results) == ["flaky", "solid"]
-        counters = recorder.metrics.snapshot()["counters"]
-        assert counters[
-            "analysis.fanout_serial_fallbacks_total{task=flaky}"] == 1
-
     def test_permanent_failure_propagates(self):
-        def doomed():
-            raise ValueError("always broken")
+        """A raising task runs once; the error names it and chains the
+        original exception."""
+        for jobs in (1, 2):
+            calls = []
 
-        with pytest.raises(ValueError, match="always broken"):
-            fan_out({"doomed": doomed, "solid": lambda: 7}, jobs=2)
+            def doomed():
+                calls.append("doomed")
+                raise ValueError("always broken")
 
-    def test_other_tasks_survive_a_permanent_failure_serially(self):
-        calls = []
-
-        def doomed():
-            calls.append("doomed")
-            raise ValueError("always broken")
-
-        with pytest.raises(ValueError):
-            fan_out({"solid": lambda: calls.append("solid"),
-                     "doomed": doomed}, jobs=2)
-        assert "solid" in calls
-        # initial try + in-pool retry + serial fallback
-        assert calls.count("doomed") == 3
-
-
-class TestInjectedExecutor:
-    def test_injected_thread_pool_is_reused_not_shut_down(self):
-        with ThreadPoolExecutor(max_workers=2) as pool:
-            first = fan_out({"a": lambda: 1, "b": lambda: 2},
-                            jobs=2, executor=pool)
-            second = fan_out({"c": lambda: 3}, jobs=2, executor=pool)
-            # the injected pool must still accept work afterwards
-            assert pool.submit(_square, 3).result() == 9
-        assert [r for _, r in first.values()] == [1, 2]
-        assert second["c"][1] == 3
-
-    def test_injected_process_pool_runs_picklable_tasks(self):
-        from repro.experiment.sharding import shard_pool
-        pool = shard_pool(2)
-        try:
-            tasks = {f"sq{i}": partial(_square, i) for i in range(4)}
-            results = fan_out(tasks, jobs=2, executor=pool)
-            assert [results[f"sq{i}"][1] for i in range(4)] == [0, 1, 4, 9]
-            # second fan-out over the same pool: no respawn, same workers
-            again = fan_out({"sq5": partial(_square, 5)},
-                            jobs=2, executor=pool)
-            assert again["sq5"][1] == 25
-        finally:
-            pool.shutdown(wait=True)
-
-    def test_injected_executor_used_even_for_single_task(self):
-        with ThreadPoolExecutor(max_workers=1) as pool:
-            results = fan_out({"only": lambda: 42}, jobs=1, executor=pool)
-        assert results["only"][1] == 42
+            with pytest.raises(AnalysisError, match="'doomed'") as exc_info:
+                fan_out({"solid": lambda: 7, "doomed": doomed}, jobs=jobs)
+            assert isinstance(exc_info.value.__cause__, ValueError)
+            assert "always broken" in str(exc_info.value.__cause__)
+            assert calls == ["doomed"]

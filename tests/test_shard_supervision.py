@@ -153,7 +153,8 @@ def _hang_runner(task):
 def _make_tasks(tmp_path, num_shards=1):
     config = ExperimentConfig.tiny()
     return {i: ShardTask(config=config, plan=None, shard=i,
-                         num_shards=num_shards, spill_dir=str(tmp_path))
+                         num_shards=num_shards, spill_dir=str(tmp_path),
+                         feed=())
             for i in range(num_shards)}
 
 
@@ -223,7 +224,8 @@ class TestSupervisorUnit:
         config = ExperimentConfig.tiny()
         tasks = {i: ShardTask(config=config, plan=None, shard=i,
                               num_shards=2,
-                              spill_dir=str(tmp_path / f"spill{i}"))
+                              spill_dir=str(tmp_path / f"spill{i}"),
+                              feed=())
                  for i in range(2)}
         with pytest.raises(ExperimentError):
             ShardSupervisor(tasks)
@@ -301,30 +303,6 @@ class TestExhaustion:
         assert stats[1] == {"shard": 1, "quarantined": True}
 
 
-@pytest.mark.chaos
-class TestExecutorBackend:
-    """Injected-pool backend: BrokenProcessPool is survivable + typed."""
-
-    def test_broken_pool_recovers_serially(self, tiny_result):
-        config = replace(ExperimentConfig.tiny(), retry_policy=FAST_RETRY)
-        with obs.FlightRecorder() as recorder:
-            with sharding.shard_pool(2) as pool:
-                result = run_experiment(config, faults=_kill_plan(shard=0),
-                                        shards=2, shard_executor=pool)
-        assert _digest(result) == _digest(tiny_result)
-        counters = recorder.metrics.snapshot()["counters"]
-        assert counters["sharding.serial_fallbacks_total"] >= 1
-
-    def test_pool_failure_is_wrapped_as_shard_error(self):
-        config = replace(ExperimentConfig.tiny(),
-                         retry_policy={"max_attempts": 1})
-        with sharding.shard_pool(2) as pool:
-            with pytest.raises(ShardError) as exc_info:
-                run_experiment(config, faults=_kill_plan(shard=0),
-                               shards=2, shard_executor=pool)
-        assert "Broken" in exc_info.value.cause
-
-
 # -- chaos integration: coordinator SIGKILL + shard-granular resume --------
 
 
@@ -351,7 +329,7 @@ class TestCoordinatorKillResume:
     """SIGKILL the coordinator mid-fan-out; resume re-runs only the
     missing shards and the corpus stays byte-identical (ISSUE AC)."""
 
-    @pytest.mark.parametrize("num_shards,die_at", [(2, 1), (4, 2)])
+    @pytest.mark.parametrize("num_shards,die_at", [(1, 1), (2, 1), (4, 2)])
     def test_resume_is_byte_identical(self, tmp_path, tiny_result,
                                       num_shards, die_at):
         src = str(Path(__file__).resolve().parent.parent / "src")
@@ -378,3 +356,20 @@ class TestCoordinatorKillResume:
         fresh = {s["shard"] for s in resumed.shard_stats
                  if not s.get("restored")}
         assert fresh == set(range(num_shards)) - survivors
+
+
+class TestManifestRestore:
+    def test_shard_missing_a_column_file_re_runs(self, tmp_path,
+                                                 tiny_result):
+        """A completed shard with any chunk column file gone is not
+        trusted: resume re-runs it instead of failing in the merge."""
+        run_experiment(ExperimentConfig.tiny(), shards=2,
+                       checkpoint_dir=tmp_path)
+        (tmp_path / "shards" / "shard000" / "T1"
+         / "chunk_0000.port.npy").unlink()
+
+        resumed = resume_experiment(tmp_path)
+        assert _digest(resumed) == _digest(tiny_result)
+        restored = {s["shard"] for s in resumed.shard_stats
+                    if s.get("restored")}
+        assert restored == {1}
