@@ -5,14 +5,11 @@ tables and figures; :class:`CorpusAnalysis` computes each combination of
 (telescope, aggregation level, phase) exactly once.
 
 Sessionization runs on the columnar engine
-(:func:`repro.core.columnar.sessionize_table`) by default; the original
-per-packet object path is kept as a correctness oracle and can be forced
-with ``use_columnar=False`` or ``REPRO_LEGACY_OBJECTS=1``.
+(:func:`repro.core.columnar.sessionize_table`).
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 
 from repro import obs
@@ -20,7 +17,7 @@ from repro.core.aggregation import AggregationLevel
 from repro.core.columnar import sessionize_table
 from repro.core.netclass import NetworkClass
 from repro.core.netclass import classify_all as classify_network_all
-from repro.core.sessions import Session, SessionSet, sessionize
+from repro.core.sessions import Session, SessionSet
 from repro.core.temporal import TemporalClass
 from repro.core.temporal import classify_all as classify_temporal_all
 from repro.analysis.degrade import warn_degraded
@@ -28,17 +25,11 @@ from repro.experiment.corpus import PacketCorpus
 from repro.experiment.phases import Phase, phase_bounds
 
 
-def _columnar_default() -> bool:
-    return os.environ.get("REPRO_LEGACY_OBJECTS", "").lower() \
-        not in ("1", "true", "yes")
-
-
 @dataclass
 class CorpusAnalysis:
     """Lazy, cached access to derived analysis products."""
 
     corpus: PacketCorpus
-    use_columnar: bool = field(default_factory=_columnar_default)
     _sessions: dict = field(default_factory=dict)
     _temporal: dict = field(default_factory=dict)
     _network: dict = field(default_factory=dict)
@@ -87,16 +78,10 @@ class CorpusAnalysis:
             return cached
         obs.add("analysis.sessions.cache_misses_total")
         with obs.span("analysis.sessionize", telescope=telescope,
-                      level=level.name, phase=phase.name,
-                      engine="columnar" if self.use_columnar else "legacy"):
-            if self.use_columnar:
-                table = self.corpus.phase_table(telescope, phase)
-                self._sessions[key] = sessionize_table(
-                    table, telescope=telescope, level=level)
-            else:
-                packets = self.corpus.phase_packets(telescope, phase)
-                self._sessions[key] = sessionize(
-                    packets, telescope=telescope, level=level)
+                      level=level.name, phase=phase.name):
+            table = self.corpus.phase_table(telescope, phase)
+            self._sessions[key] = sessionize_table(
+                table, telescope=telescope, level=level)
         return self._sessions[key]
 
     def all_sessions(self, level: AggregationLevel = AggregationLevel.ADDR,
@@ -147,15 +132,3 @@ class CorpusAnalysis:
                           level: AggregationLevel = AggregationLevel.ADDR) \
             -> SessionSet:
         return self.sessions("T1", level, Phase.SPLIT)
-
-    def initial_packets(self, telescope: str):
-        """Packets of the INITIAL (baseline) phase.
-
-        On an out-of-core v2 corpus this is a pushdown slice: only the
-        chunks whose time footprint overlaps the baseline weeks are
-        opened and materialized as objects — the remaining ~¾ of the
-        capture stays on disk (DESIGN §9). Phase *tables* used by
-        :meth:`sessions` go through ``corpus.phase_table``, which pushes
-        down the same way.
-        """
-        return self.corpus.phase_packets(telescope, Phase.INITIAL)

@@ -46,11 +46,3 @@ def warn_degraded(message: str, *, artifact: str = "", telescope: str = "",
         DegradationWarning(message, artifact=artifact, telescope=telescope,
                            reason=reason),
         stacklevel=stacklevel)
-
-
-def gap_overlap(gaps, start: float, end: float) -> float:
-    """Seconds of [start, end) covered by the given (start, end) gaps."""
-    total = 0.0
-    for gap_start, gap_end in gaps:
-        total += max(0.0, min(end, gap_end) - max(start, gap_start))
-    return total

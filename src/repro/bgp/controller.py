@@ -16,7 +16,7 @@ yields the asymmetric ladder /33, /34, ..., /47, 2×/48.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
 from typing import Callable
 
@@ -117,16 +117,15 @@ def build_split_schedule(origin_prefix: Prefix,
 class SplitController:
     """Drives a speaker through a precomputed announcement schedule.
 
-    The controller schedules announce/withdraw events on the simulator and
-    records which cycle is active at any time; analyses use
-    :meth:`cycle_at` to bucket packets into announcement periods.
+    The controller schedules announce/withdraw events on the simulator;
+    analyses use :meth:`cycle_at` to bucket packets into announcement
+    periods.
     """
 
     speaker: BGPSpeaker
     simulator: Simulator
     schedule: list[AnnouncementCycle]
     on_announce: Callable[[AnnouncementCycle], None] | None = None
-    _active_cycle: AnnouncementCycle | None = field(default=None, init=False)
 
     def start(self) -> None:
         """Arm all announce/withdraw events of the schedule."""
@@ -145,7 +144,6 @@ class SplitController:
             )
 
     def _announce(self, cycle: AnnouncementCycle) -> None:
-        self._active_cycle = cycle
         for prefix in cycle.prefixes:
             self.speaker.originate(prefix)
         obs.add("bgp.announcements_total", len(cycle.prefixes))
@@ -157,12 +155,6 @@ class SplitController:
         for prefix in cycle.prefixes:
             self.speaker.withdraw_origin(prefix)
         obs.add("bgp.withdrawals_total", len(cycle.prefixes))
-        if self._active_cycle is cycle:
-            self._active_cycle = None
-
-    @property
-    def active_cycle(self) -> AnnouncementCycle | None:
-        return self._active_cycle
 
     def cycle_at(self, time: float) -> AnnouncementCycle | None:
         """The cycle whose announcement window contains ``time``.

@@ -394,7 +394,7 @@ def cmd_runs(args: argparse.Namespace) -> int:
             args.ledger, args.run_ids[0], args.run_ids[1],
             threshold=args.threshold)
         print(comparison.render())
-        # non-zero on regression, same contract as run_benches --compare
+        # non-zero on regression, so scripts can gate on the exit status
         return 1 if comparison.regressions else 0
     except FileNotFoundError as exc:
         raise ExperimentError(

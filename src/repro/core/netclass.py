@@ -16,7 +16,6 @@ in the paper.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,15 +31,6 @@ class NetworkClass(enum.Enum):
     SIZE_INDEPENDENT = "size-independent"
     SIZE_DEPENDENT = "size-dependent"
     INCONSISTENT = "inconsistent"
-
-
-@dataclass(frozen=True, slots=True)
-class CycleVerdict:
-    """Per-cycle classification of one scanner."""
-
-    cycle_index: int
-    network_class: NetworkClass
-    sessions: int
 
 
 def sessions_per_prefix(sessions: list[Session],

@@ -79,8 +79,8 @@ class ExperimentConfig:
     seed: int = 42
     scale: float = 1.0
     #: emission path: True = batched session kernel, False = per-packet
-    #: oracle, None = environment default (``REPRO_LEGACY_EMIT``).
-    batch_emit: bool | None = None
+    #: oracle.
+    batch_emit: bool = True
     baseline_weeks: int = 12
     cycle_weeks: int = 2
     num_cycles: int = 16

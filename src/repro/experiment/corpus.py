@@ -24,55 +24,31 @@ from repro.telescope.packet import Packet
 TELESCOPE_NAMES = ("T1", "T2", "T3", "T4")
 
 
-def merge_shard_tables(
-        segments: dict[str, list[PacketTable]]) -> dict[str, PacketTable]:
-    """Merge per-shard columnar segments into one table per telescope.
-
-    Reconstructs the exact unsharded byte layout: the batched emission
-    path flushes scanners in canonical ``scanner_id`` order (see
-    :meth:`repro.scanners.base.ScannerContext.flush_batches`), so an
-    unsharded capture appends per-scanner row groups in scanner-ID
-    order and snapshots them through a stable time sort — so its byte
-    layout is time-major, with equal-time ties in scanner-ID order and
-    full ties in each scanner's own emission order. Each worker segment
-    holds the identical row groups for its own (disjoint) scanners, so
-    one stable ``(time, scanner_id)`` lexsort of the concatenated
-    segments reproduces the unsharded table byte-for-byte, for any
-    shard count and any partitioning (DESIGN §8). Telescopes missing
-    from ``segments`` come back as empty tables.
-    """
-    import numpy as np
-
-    from repro.core.columnar import concat_tables
-    merged: dict[str, PacketTable] = {}
-    for name in TELESCOPE_NAMES:
-        table = concat_tables(segments.get(name, []))
-        if len(table):
-            # lexsort is stable: primary time, secondary scanner_id,
-            # original (per-scanner emission) order for full ties
-            order = np.lexsort((table.scanner_id, table.time))
-            table = table.take(order)
-        merged[name] = table
-    return merged
-
-
 def merge_chunked_shards(
         segments: dict[str, list[ChunkedPacketTable]],
 ) -> dict[str, ChunkedPacketTable]:
     """Window-at-a-time merge of lazily loaded per-shard chunk segments.
 
-    Produces exactly the rows and order of
-    :func:`merge_shard_tables` — and therefore of the unsharded build —
-    without ever holding two full copies of a telescope's table: the
-    timeline is cut at every shard chunk's ``t_min`` and merged one
-    window at a time. Correctness rests on the same argument as the
-    full-table lexsort (DESIGN §8) plus one observation: a stable sort
-    whose *primary* key (time) partitions cleanly across windows equals
-    the concatenation of the per-window stable sorts, as long as each
-    window sees its rows in the same relative order — which pushdown
-    slicing guarantees, since it preserves within-shard order and the
-    shards are concatenated in shard order. Peak memory is one telescope
-    plus one window, not two telescopes.
+    Reconstructs the exact unsharded byte layout. The batched emission
+    path flushes scanners in canonical ``scanner_id`` order (see
+    :meth:`repro.scanners.base.ScannerContext.flush_batches`) and an
+    unsharded capture snapshots its rows through a stable time sort, so
+    the rows are ordered by time, then ``scanner_id``, then each
+    scanner's own emission order. Each worker segment holds the
+    identical row groups for its own (disjoint) scanners, so a stable
+    ``(time, scanner_id)`` lexsort of the concatenated segments
+    reproduces that order for any shard count and any partitioning
+    (DESIGN §8).
+
+    The merge never holds two full copies of a telescope's table: the
+    timeline is cut at every shard chunk's ``t_min`` and sorted one
+    window at a time. A stable sort whose primary key (time) partitions
+    cleanly across windows equals the concatenation of the per-window
+    stable sorts, as long as each window sees its rows in the same
+    relative order — which pushdown slicing guarantees, since it
+    preserves within-shard order and the shards are concatenated in
+    shard order. Peak memory is one telescope plus one window, not two
+    telescopes. Telescopes missing from ``segments`` come back empty.
     """
     import numpy as np
 
@@ -266,9 +242,6 @@ class PacketCorpus:
         return best
 
     # -- source metadata -----------------------------------------------------------
-
-    def source_asn(self, packet: Packet) -> int:
-        return packet.src_asn
 
     def rdns(self, src: int) -> str | None:
         """Reverse-DNS lookup for a source address."""

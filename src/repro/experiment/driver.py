@@ -34,8 +34,7 @@ from repro.experiment import checkpoint as ckpt
 from repro.experiment.config import ExperimentConfig
 from repro.experiment.corpus import PacketCorpus, merge_chunked_shards
 from repro.faults import FaultInjector, FaultPlan
-from repro.scanners.base import (Scanner, ScannerContext, SourceModel,
-                                 batch_emit_default)
+from repro.scanners.base import Scanner, ScannerContext, SourceModel
 from repro.scanners.population import (PopulationInputs, build_population)
 from repro.scanners.registry import ASRegistry
 from repro.sim.events import Simulator
@@ -299,9 +298,7 @@ def run_experiment(config: ExperimentConfig | None = None,
                      seed=config.seed, scale=config.scale):
         deployment, population = _build_stages(config, registry, tracer,
                                                stage_seconds)
-        batch_emit = config.batch_emit if config.batch_emit is not None \
-            else batch_emit_default()
-        context = context_for(config, deployment, batch_emit)
+        context = context_for(config, deployment, config.batch_emit)
 
         with _stage(tracer, "schedule_scanners", stage_seconds,
                     scanners=len(population)):
@@ -325,7 +322,7 @@ def run_experiment(config: ExperimentConfig | None = None,
             if recorder is not None:
                 recorder.detach(deployment.simulator)
 
-        if batch_emit:
+        if config.batch_emit:
             # sessions only *resolved* during the run materialize now, one
             # cross-session kernel call per scanner
             with _stage(tracer, "flush_batches", stage_seconds):
@@ -334,7 +331,7 @@ def run_experiment(config: ExperimentConfig | None = None,
         with _stage(tracer, "package_corpus", stage_seconds):
             # batch runs package columns only — Packet objects materialize
             # lazily if an analysis asks for them
-            packets_by = None if batch_emit else {
+            packets_by = None if config.batch_emit else {
                 name: telescope.capture.packets()
                 for name, telescope in deployment.telescopes.items()}
             corpus = _corpus(
@@ -381,13 +378,10 @@ def _run_sharded(config, registry, faults, num_shards, tracer, recorder,
     """
     from repro.experiment import sharding
 
-    batch_emit = config.batch_emit if config.batch_emit is not None \
-        else batch_emit_default()
-    if not batch_emit:
+    if not config.batch_emit:
         raise ExperimentError(
             "sharded and checkpointed runs require the batched emission "
-            "path — config.batch_emit must not be False (and "
-            "REPRO_LEGACY_EMIT must not force the per-packet oracle)")
+            "path — config.batch_emit must not be False")
     plan = faults.plan if isinstance(faults, FaultInjector) else faults
 
     stage_seconds: dict[str, float] = {}

@@ -65,7 +65,7 @@ from repro import obs
 from repro.obs import events as obsevents
 from repro.obs.metrics import _parse_key
 from repro.bgp.collector import CollectorEntry
-from repro.core.columnar import ChunkedPacketTable, PacketTable
+from repro.core.columnar import ChunkedPacketTable
 from repro.errors import ExperimentError, ShardError
 from repro.experiment.config import ExperimentConfig, RetryPolicy
 from repro.experiment.corpus import TELESCOPE_NAMES
@@ -861,12 +861,13 @@ class ShardSupervisor:
     """Run shard tasks under failure detection, bounded retry, and
     graceful degradation (DESIGN §11).
 
-    Every shard runs in its own supervised ``multiprocessing.Process``.
-    The supervisor polls for exits (a missing result file or nonzero
-    exitcode is a failure, with the worker's captured stderr tail as
-    the diagnosis) and enforces per-shard wall-clock timeouts derived
-    from the LPT cost model — a shard whose telemetry spool stops
-    growing for its budget is declared hung and SIGKILLed. Workers arm
+    Every pending shard runs at once, in its own supervised
+    ``multiprocessing.Process``. The supervisor polls for exits (a
+    missing result file or nonzero exitcode is a failure, with the
+    worker's captured stderr tail as the diagnosis) and enforces
+    per-shard wall-clock timeouts derived from the LPT cost model — a
+    shard whose telemetry spool stops growing for its budget is
+    declared hung and SIGKILLed. Workers arm
     ``PR_SET_PDEATHSIG`` so a SIGKILLed coordinator cannot leak orphans
     into a spill directory a resumed run will reuse.
 
@@ -888,7 +889,6 @@ class ShardSupervisor:
                  completed: Mapping[int, dict] | None = None,
                  on_complete: "Callable[[int, dict], None] | None" = None,
                  runner: "Callable[[ShardTask], dict]" = run_shard,
-                 max_workers: int | None = None,
                  poll_interval: float = 0.05) -> None:
         self.policy = RetryPolicy.of(policy)
         self.timeouts = dict(timeouts) if timeouts is not None else None
@@ -896,7 +896,6 @@ class ShardSupervisor:
         self.tailer = tailer
         self.on_complete = on_complete
         self.runner = runner
-        self.max_workers = max_workers or len(tasks) or 1
         self.poll_interval = poll_interval
         self.retries = 0
         self.quarantined: list[int] = []
@@ -1099,8 +1098,6 @@ class ShardSupervisor:
                     if state.process is not None \
                             or state.not_before > now:
                         continue
-                    if len(running) >= self.max_workers:
-                        break
                     self._launch(state)
                     running.append(state)
                 moved = False
@@ -1213,10 +1210,3 @@ def open_shard_segments(results: Sequence[dict]) \
                 Path(info["dir"]), info["manifest"], telescope=name,
                 strict=True))
     return segments
-
-
-def load_shard_segments(results: Sequence[dict]) \
-        -> dict[str, list[PacketTable]]:
-    """Eagerly materialized :func:`open_shard_segments` (verified)."""
-    return {name: [table.materialize() for table in tables]
-            for name, tables in open_shard_segments(results).items()}

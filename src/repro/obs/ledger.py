@@ -16,9 +16,8 @@ recorded.
   wall seconds);
 - ``show`` — the full manifest of one run;
 - ``compare`` — diff two runs' stage timings and metrics, flagging
-  stage-time regressions beyond a threshold (default 10%) — the same
-  contract as ``run_benches.py --compare``, but over *any* two recorded
-  runs rather than two benchmark reports.
+  stage-time regressions beyond a threshold (default 10%) and exiting
+  non-zero when any is found.
 
 The module is deliberately pure stdlib + pure data (no imports from the
 experiment layer), so the obs package never participates in an import

@@ -13,7 +13,6 @@ which routes emitted packets into whichever telescope owns the destination.
 from __future__ import annotations
 
 import enum
-import os
 from dataclasses import dataclass, field
 from functools import partial
 from typing import TYPE_CHECKING, Callable
@@ -39,14 +38,6 @@ _GOLDEN = 0x9E3779B97F4A7C15
 #: show the kernel without per-session span overhead distorting it.
 _SPAN_SAMPLE = 256
 
-
-def batch_emit_default() -> bool:
-    """Whether sessions use the batched kernel (module env override).
-
-    ``REPRO_LEGACY_EMIT=1`` selects the per-packet oracle path, mirroring
-    the columnar engine's ``REPRO_LEGACY_OBJECTS`` switch.
-    """
-    return os.environ.get("REPRO_LEGACY_EMIT", "0") in ("", "0")
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.scanners.netselect import NetworkPolicy
@@ -202,7 +193,7 @@ class ScannerContext:
     #: :attr:`route` calls.
     route_batch: Callable | None = None
     #: sessions emit through :meth:`inject_batch` when True.
-    batch_emit: bool = field(default_factory=batch_emit_default)
+    batch_emit: bool = True
     #: when True, batch sessions accumulate per scanner and materialize in
     #: one cross-session kernel call each at :meth:`flush_batches` —
     #: amortizing the per-batch NumPy overhead over thousands of rows.
@@ -494,7 +485,7 @@ class Scanner:
 
     def _fire_legacy(self, ctx: ScannerContext, when: float,
                      selections, total: int) -> int:
-        """Per-packet oracle path (``REPRO_LEGACY_EMIT=1``)."""
+        """Per-packet oracle path (``batch_emit=False``)."""
         nonce = self.sessions_fired
         weight_sum = sum(w for _, w in selections)
         emitted = 0

@@ -276,12 +276,6 @@ class PacketCapture:
             return {(int(hi) << 64) | int(lo) for hi, lo in pairs.tolist()}
         return {p.dst for p in self._packets}
 
-    def source_asns(self) -> set[int]:
-        if self._builder is not None and len(self._builder):
-            asns = np.unique(self.table().src_asn)
-            return {int(a) for a in asns.tolist() if a}
-        return {p.src_asn for p in self._packets if p.src_asn}
-
 
 def _bisect_time(packets: list[Packet], t: float) -> int:
     lo, hi = 0, len(packets)

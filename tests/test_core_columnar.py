@@ -168,15 +168,14 @@ class TestPhaseSlicing:
             assert initial + split == full
 
     def test_analysis_paths_agree(self, tiny_corpus):
-        from repro.analysis.context import CorpusAnalysis
-        columnar = CorpusAnalysis(tiny_corpus, use_columnar=True)
-        legacy = CorpusAnalysis(tiny_corpus, use_columnar=False)
         for telescope in tiny_corpus.telescopes():
             for level in (AggregationLevel.ADDR, AggregationLevel.SUBNET):
                 for phase in Phase:
+                    packets = tiny_corpus.phase_packets(telescope, phase)
+                    table = tiny_corpus.phase_table(telescope, phase)
                     assert_identical(
-                        legacy.sessions(telescope, level, phase),
-                        columnar.sessions(telescope, level, phase))
+                        sessionize(packets, telescope, level),
+                        sessionize_table(table, telescope, level))
 
 
 class TestPacketTable:

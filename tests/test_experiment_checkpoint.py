@@ -71,6 +71,8 @@ class TestCheckpointedRun:
             == corpus_digest(tiny_result.corpus)
         assert (tmp_path / sharding.SETUP_NAME).exists()
         assert (tmp_path / sharding.MANIFEST_NAME).exists()
+        assert set(sharding.ShardManifest.open(tmp_path, 1).completed) \
+            == {0}
         assert len(result.shard_stats) == 1
 
     def test_resume_without_checkpoints_fails(self, tmp_path):

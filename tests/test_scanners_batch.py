@@ -5,9 +5,9 @@ Three guarantees back the perf work:
 - **determinism** — a fixed seed yields a byte-identical corpus on the
   batch path, run to run;
 - **fidelity** — the batch path agrees with the per-packet oracle
-  (``batch_emit=False`` / ``REPRO_LEGACY_EMIT=1``) in distribution: the
-  two paths consume their RNG draws in different orders, so the contract
-  is tolerance-based marginals, not packet-for-packet equality;
+  (``batch_emit=False``) in distribution: the two paths consume their
+  RNG draws in different orders, so the contract is tolerance-based
+  marginals, not packet-for-packet equality;
 - **epoch-aware routing** — ``Deployment.route_batch`` reproduces the
   per-packet ``route`` exactly, even for batches straddling announce and
   withdraw boundaries.
@@ -20,7 +20,7 @@ import pytest
 
 from repro.experiment import ExperimentConfig, run_experiment
 from repro.net.addr import parse_addr
-from repro.scanners.base import _as_column, batch_emit_default
+from repro.scanners.base import _as_column
 from repro.sim.rng import RngStreams
 from repro.telescope.deployment import (COVERING_PREFIX, T1_PREFIX, T2_PREFIX,
                                         T3_PREFIX, T4_PREFIX,
@@ -159,12 +159,6 @@ class TestEpochAwareRouting:
 
 
 class TestEmitConfig:
-    def test_env_default(self, monkeypatch):
-        monkeypatch.delenv("REPRO_LEGACY_EMIT", raising=False)
-        assert batch_emit_default() is True
-        monkeypatch.setenv("REPRO_LEGACY_EMIT", "1")
-        assert batch_emit_default() is False
-
     def test_as_column_broadcasts_scalars(self):
         column = _as_column(np.uint64(7), 4)
         assert column.tolist() == [7, 7, 7, 7]

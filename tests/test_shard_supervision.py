@@ -12,28 +12,34 @@ Three layers of coverage:
   runs and assert the supervised corpus stays byte-identical to the
   unsharded, fault-free one — including across a SIGKILLed coordinator
   resumed at shard granularity from the ``shards.json`` manifest.
+
+An ``overhead``-marked guard bounds what supervision costs a clean run.
 """
 
 from __future__ import annotations
 
+import multiprocessing
 import subprocess
 import sys
 import time
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 from repro import obs
+from repro.bgp.messages import UpdateKind
 from repro.errors import ExperimentError, ShardError
 from repro.experiment import ExperimentConfig, run_experiment
 from repro.experiment import sharding
 from repro.experiment.config import RetryPolicy
-from repro.experiment.driver import resume_experiment
+from repro.experiment.driver import deployment_for, resume_experiment
 from repro.experiment.sharding import ShardSupervisor, ShardTask
 from repro.experiment.store import corpus_digest
 from repro.experiment.corpus import TELESCOPE_NAMES
 from repro.faults import FaultPlan, ProcessFault
+from repro.sim.rng import RngStreams
 
 #: Fast backoff for tests — semantics identical to the defaults.
 FAST_RETRY = {"max_attempts": 3, "base_delay": 0.05}
@@ -373,3 +379,65 @@ class TestManifestRestore:
         restored = {s["shard"] for s in resumed.shard_stats
                     if s.get("restored")}
         assert restored == {1}
+
+
+# -- supervision overhead --------------------------------------------------
+
+
+def _segment_digests(shard_results) -> list[dict]:
+    """Per-shard, per-telescope chunk sha256 lists of a fan-out."""
+    return [{name: [chunk["sha256"] for chunk in info["manifest"]]
+             for name, info in sorted(res["segments"].items())}
+            for res in sorted(shard_results, key=lambda r: r["shard"])]
+
+
+@pytest.mark.overhead
+class TestSupervisionOverhead:
+    def test_clean_run_overhead_within_five_percent(self, tmp_path):
+        """Supervision must cost ≤5% of a clean run's ``shard_simulate``.
+
+        The supervised run (one process per shard, exit and hang
+        polling, result files) races a bare fork ``ProcessPoolExecutor``
+        mapping :func:`~repro.experiment.sharding.run_shard` over the
+        same tasks, timed from pool creation to the last result. Both
+        fork their workers, so the comparison isolates supervision. Best
+        of five each, alternating, with no flight recorder; a small
+        absolute floor absorbs timer noise and the supervisor's 50 ms
+        poll interval on a tiny run.
+        """
+        obs.uninstall()
+        config = ExperimentConfig.tiny()
+        deployment = deployment_for(config, RngStreams(config.seed))
+        deployment.simulator.run_until(config.duration)
+        feed = tuple(e for e in deployment.collector.journal
+                     if e.kind is UpdateKind.ANNOUNCE)
+        fork = multiprocessing.get_context("fork")
+
+        def supervised(_):
+            result = run_experiment(config, shards=2)
+            return (result.stage_seconds["shard_simulate"],
+                    _segment_digests(result.shard_stats))
+
+        def pooled(repeat):
+            spill = tmp_path / f"pool{repeat}"
+            tasks = [ShardTask(config=config, plan=None, shard=shard,
+                               num_shards=2, spill_dir=str(spill),
+                               feed=feed, record_obs=False)
+                     for shard in range(2)]
+            started = time.perf_counter()
+            with ProcessPoolExecutor(max_workers=2,
+                                     mp_context=fork) as pool:
+                results = list(pool.map(sharding.run_shard, tasks))
+            return time.perf_counter() - started, _segment_digests(results)
+
+        best = {supervised: float("inf"), pooled: float("inf")}
+        segments = []
+        for repeat in range(5):
+            for run in (supervised, pooled):
+                wall, digests = run(repeat)
+                best[run] = min(best[run], wall)
+                segments.append(digests)
+        assert all(digests == segments[0] for digests in segments)
+        assert best[supervised] <= 1.05 * best[pooled] + 0.05, \
+            (f"supervised {best[supervised]:.3f}s vs "
+             f"pooled {best[pooled]:.3f}s")
