@@ -19,7 +19,7 @@ from collections import Counter
 from dataclasses import dataclass
 
 from repro.analysis.context import CorpusAnalysis
-from repro.core.addrclass import AddressClass, classify_session
+from repro.core.addrclass import CLASS_ORDER
 from repro.core.aggregation import AggregationLevel
 from repro.core.temporal import TemporalClass
 from repro.errors import AnalysisError
@@ -107,11 +107,12 @@ def profile_telescope(analysis: CorpusAnalysis, telescope: str,
                                          phase)
     temporal_counter: Counter = Counter(temporal.values())
     protocol_counter: Counter = Counter()
-    address_counter: Counter = Counter()
     for session in session_set:
         for protocol in session.protocols():
             protocol_counter[protocol] += 1
-        address_counter[classify_session(session)] += 1
+    address_counter = Counter(
+        CLASS_ORDER[code] for code in analysis.address_classes(
+            telescope, AggregationLevel.ADDR, phase).tolist())
     packets = analysis.corpus.phase_packets(telescope, phase)
     sources_128 = len({p.src for p in packets})
     sources_64 = len({p.src >> 64 for p in packets})

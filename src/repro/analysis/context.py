@@ -5,14 +5,18 @@ tables and figures; :class:`CorpusAnalysis` computes each combination of
 (telescope, aggregation level, phase) exactly once.
 
 Sessionization runs on the columnar engine
-(:func:`repro.core.columnar.sessionize_table`).
+(:func:`repro.core.columnar.sessionize_table`), and address classes are
+one column per session set (:func:`repro.core.addrclass.classify_segments`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from repro import obs
+from repro.core.addrclass import classify_segments
 from repro.core.aggregation import AggregationLevel
 from repro.core.columnar import sessionize_table
 from repro.core.netclass import NetworkClass
@@ -33,6 +37,7 @@ class CorpusAnalysis:
     _sessions: dict = field(default_factory=dict)
     _temporal: dict = field(default_factory=dict)
     _network: dict = field(default_factory=dict)
+    _address: dict = field(default_factory=dict)
 
     # -- coverage ------------------------------------------------------------
 
@@ -112,6 +117,28 @@ class CorpusAnalysis:
         else:
             obs.add("analysis.classify.cache_hits_total")
         return self._temporal[key]
+
+    def address_classes(self, telescope: str,
+                        level: AggregationLevel = AggregationLevel.ADDR,
+                        phase: Phase = Phase.FULL) -> np.ndarray:
+        """Address-class codes (:data:`~repro.core.addrclass.CLASS_ORDER`),
+        one per session of :meth:`sessions`, in its order."""
+        key = (telescope, level, phase)
+        if key not in self._address:
+            session_set = self.sessions(telescope, level, phase)
+            obs.add("analysis.classify.cache_misses_total")
+            with obs.span("analysis.classify_address", telescope=telescope,
+                          level=level.name, phase=phase.name):
+                codes = np.empty(0, dtype=np.uint8)
+                if len(session_set):
+                    table, rows = session_set.table, session_set.rows
+                    codes = classify_segments(
+                        table.dst_hi[rows], table.dst_lo[rows],
+                        session_set.bounds[:-1])[session_set.run_of]
+                self._address[key] = codes
+        else:
+            obs.add("analysis.classify.cache_hits_total")
+        return self._address[key]
 
     def network_classes(self, level: AggregationLevel = AggregationLevel.ADDR) \
             -> dict[int, NetworkClass]:

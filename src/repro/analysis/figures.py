@@ -16,7 +16,7 @@ import numpy as np
 from repro.analysis.context import CorpusAnalysis
 from repro.analysis.degrade import warn_degraded
 from repro.obs import traced
-from repro.core.addrclass import AddressClass, classify_session
+from repro.core.addrclass import CLASS_ORDER, AddressClass
 from repro.core.aggregation import AggregationLevel
 from repro.core.heavy import HeavyHitter, find_heavy_hitters
 from repro.core.nist import (bits_from_addresses, run_battery)
@@ -234,20 +234,27 @@ def fig7(analysis: CorpusAnalysis) -> Fig7Result:
         for p in analysis.corpus.phase_packets(telescope, Phase.INITIAL):
             series[min(int(p.time // HOUR), hours - 1)] += 1
         hourly[telescope] = series
-    classification: dict[str, dict] = {}
-    for telescope in TELESCOPES:
-        by_source = analysis.by_source(telescope, AggregationLevel.ADDR,
-                                       Phase.INITIAL)
-        temporal = analysis.temporal_classes(telescope,
-                                             AggregationLevel.ADDR,
-                                             Phase.INITIAL)
-        histogram: Counter = Counter()
-        for source, sessions in by_source.items():
-            for session in sessions:
-                histogram[(temporal[source],
-                           classify_session(session))] += 1
-        classification[telescope] = dict(histogram)
+    classification = {telescope: _taxonomy(analysis, telescope,
+                                           Phase.INITIAL)
+                      for telescope in TELESCOPES}
     return Fig7Result(hourly=hourly, classification=classification)
+
+
+def _taxonomy(analysis: CorpusAnalysis, telescope: str, phase: Phase) \
+        -> dict[tuple[TemporalClass, AddressClass], int]:
+    """Sessions per (temporal, address) class of one telescope's /128
+    sources, tallied source by source in ``by_source`` order: the
+    renderers sort by count, so ties keep this insertion order."""
+    session_set = analysis.sessions(telescope, AggregationLevel.ADDR, phase)
+    temporal = analysis.temporal_classes(telescope, AggregationLevel.ADDR,
+                                         phase)
+    codes = analysis.address_classes(telescope, AggregationLevel.ADDR, phase)
+    by_source: dict[int, list[int]] = {}
+    for session, code in zip(session_set.sessions, codes.tolist()):
+        by_source.setdefault(session.source, []).append(code)
+    return dict(Counter((temporal[source], CLASS_ORDER[code])
+                        for source, source_codes in by_source.items()
+                        for code in source_codes))
 
 
 # -- Fig. 8: cross-telescope UpSet intersections -----------------------------
@@ -459,11 +466,12 @@ def _nibble_matrix(session: Session) -> NibbleMatrix:
 def fig12(analysis: CorpusAnalysis, min_packets: int = 100) -> Fig12Result:
     """Pick one structured and one random T1 session and matrix them."""
     structured = best_random = None
-    for session in analysis.sessions("T1", AggregationLevel.ADDR,
-                                     Phase.FULL):
+    sessions = analysis.sessions("T1", AggregationLevel.ADDR, Phase.FULL)
+    codes = analysis.address_classes("T1", AggregationLevel.ADDR, Phase.FULL)
+    for session, code in zip(sessions, codes.tolist()):
         if len(session) < min_packets:
             continue
-        verdict = classify_session(session)
+        verdict = CLASS_ORDER[code]
         if verdict is AddressClass.STRUCTURED and structured is None:
             structured = _nibble_matrix(session)
         elif verdict is AddressClass.RANDOM and best_random is None:
@@ -544,14 +552,7 @@ class Fig15Result:
 
 @traced("analysis.fig15")
 def fig15(analysis: CorpusAnalysis) -> Fig15Result:
-    temporal = analysis.temporal_classes("T1", AggregationLevel.ADDR,
-                                         Phase.SPLIT)
-    by_source = analysis.by_source("T1", AggregationLevel.ADDR, Phase.SPLIT)
-    histogram: Counter = Counter()
-    for source, sessions in by_source.items():
-        for session in sessions:
-            histogram[(temporal[source], classify_session(session))] += 1
-    return Fig15Result(histogram=dict(histogram))
+    return Fig15Result(histogram=_taxonomy(analysis, "T1", Phase.SPLIT))
 
 
 # -- Fig. 16: source overlap over time ----------------------------------------------

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.analysis.context import CorpusAnalysis
-from repro.core.addrclass import AddressClass, classify_session
+from repro.core.addrclass import CLASS_CODE, AddressClass
 from repro.core.aggregation import AggregationLevel
 from repro.core.reactivity import sessions_per_prefix_cumulative
 from repro.errors import AnalysisError
@@ -133,12 +133,11 @@ def derive_guidance(analysis: CorpusAnalysis) -> GuidanceReport:
     structured = 0
     total = 0
     for telescope in corpus.telescopes():
-        for session in analysis.sessions(telescope,
-                                         AggregationLevel.ADDR,
-                                         Phase.FULL):
-            total += 1
-            if classify_session(session) is AddressClass.STRUCTURED:
-                structured += 1
+        codes = analysis.address_classes(telescope, AggregationLevel.ADDR,
+                                         Phase.FULL)
+        total += len(codes)
+        structured += int(np.count_nonzero(
+            codes == CLASS_CODE[AddressClass.STRUCTURED]))
     share = structured / max(total, 1)
     recommendations.append(Recommendation(
         key="structured-targets",

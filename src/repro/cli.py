@@ -30,7 +30,6 @@ from pathlib import Path
 from repro import obs
 from repro.analysis.context import CorpusAnalysis
 from repro.analysis import figures as figure_module
-from repro.analysis.parallel import fan_out
 from repro.analysis.tables import (table2, table3, table4, table5, table6,
                                    table7, table8)
 from repro.bgp.controller import build_split_schedule
@@ -142,10 +141,6 @@ def build_parser() -> argparse.ArgumentParser:
                               "(run.json manifest + event log; browse "
                               "with 'repro runs')")
         _add_obs_flags(cmd)
-        if name in ("tables", "figures"):
-            cmd.add_argument("--jobs", type=int, default=1,
-                             help="generate artifacts with this many "
-                                  "worker threads (default 1)")
         if name == "figures":
             cmd.add_argument("--only", choices=FIGURES, default=None,
                              help="print a single figure")
@@ -266,20 +261,11 @@ def cmd_run(args: argparse.Namespace) -> int:
     return 0
 
 
-def _print_tables(analysis: CorpusAnalysis, jobs: int = 1) -> None:
-    generators = {"table2": table2, "table3": table3, "table4": table4,
-                  "table5": table5, "table6": table6, "table7": table7,
-                  "table8": table8}
-    if jobs > 1:
-        # warm the shared sessionization once so parallel generators hit
-        # the cache instead of racing to compute it
-        analysis.all_sessions()
-    results = fan_out(
-        {name: (lambda g=g: g(analysis)) for name, g in generators.items()},
-        jobs=jobs)
-    for name in generators:
-        result = results[name][1]
-        if name == "table5":
+def _print_tables(analysis: CorpusAnalysis) -> None:
+    for generator in (table2, table3, table4, table5, table6, table7,
+                      table8):
+        result = generator(analysis)
+        if generator is table5:
             print(result.table_a.render())
             print()
             print(result.table_b.render())
@@ -290,8 +276,7 @@ def _print_tables(analysis: CorpusAnalysis, jobs: int = 1) -> None:
 
 def cmd_tables(args: argparse.Namespace) -> int:
     result = _simulate(args)
-    _print_tables(CorpusAnalysis(result.corpus),
-                  jobs=getattr(args, "jobs", 1))
+    _print_tables(CorpusAnalysis(result.corpus))
     return 0
 
 
@@ -358,16 +343,8 @@ def cmd_migrate_store(args: argparse.Namespace) -> int:
 def cmd_figures(args: argparse.Namespace) -> int:
     result = _simulate(args)
     analysis = CorpusAnalysis(result.corpus)
-    names = (args.only,) if args.only else FIGURES
-    jobs = getattr(args, "jobs", 1)
-    if jobs > 1:
-        analysis.all_sessions()
-    results = fan_out(
-        {name: (lambda f=getattr(figure_module, name): f(analysis))
-         for name in names},
-        jobs=jobs)
-    for name in names:
-        print(results[name][1].render())
+    for name in (args.only,) if args.only else FIGURES:
+        print(getattr(figure_module, name)(analysis).render())
         print()
     return 0
 

@@ -8,16 +8,19 @@ Per scan session:
 - **random** — sessions of >= 100 packets whose target bits pass the NIST
   frequency test at alpha = 0.01;
 - **unknown** — neither.
+
+:func:`classify_segments` classifies every session of a session set in
+one pass over its destination columns; :func:`classify_session` is its
+one-session case.
 """
 
 from __future__ import annotations
 
 import enum
-from collections import Counter
 
 import numpy as np
 
-from repro.core.nist import ALPHA, bits_from_addresses, frequency_test
+from repro.core.nist import ALPHA, monobit_pvalue
 from repro.core.sessions import Session
 from repro.errors import ClassificationError
 from repro.net.addrtypes import AddressType, TYPE_ORDER, classify_iids
@@ -36,6 +39,9 @@ _STRUCTURED_TYPES = frozenset((
     AddressType.ISATAP,
 ))
 
+#: ``_IS_STRUCTURED[code]`` for a :func:`classify_iids` type code.
+_IS_STRUCTURED = np.array([t in _STRUCTURED_TYPES for t in TYPE_ORDER])
+
 
 class AddressClass(enum.Enum):
     STRUCTURED = "structured"
@@ -43,75 +49,71 @@ class AddressClass(enum.Enum):
     UNKNOWN = "unknown"
 
 
+#: Code order of :func:`classify_segments`: ``CLASS_ORDER[code]`` maps a
+#: result back to its :class:`AddressClass`.
+CLASS_ORDER = tuple(AddressClass)
+CLASS_CODE = {cls: code for code, cls in enumerate(CLASS_ORDER)}
+
 _MASK64 = (1 << 64) - 1
 
 
-def type_histogram(targets: list[int]) -> Counter:
-    """addr6-type histogram of a target list.
+def classify_segments(dst_hi: np.ndarray, dst_lo: np.ndarray,
+                      starts: np.ndarray) -> np.ndarray:
+    """Classify consecutive sessions of one target column pair.
 
-    Classification only depends on the 64-bit IID, so each *unique* IID
-    is classified once (vectorized) and multiplied by its occurrence
-    count — sessions re-probing the same targets pay nothing extra.
+    ``dst_hi``/``dst_lo`` are the upper and lower 64 bits of every
+    target, session after session, each session in arrival order;
+    session ``i`` is rows ``starts[i]`` up to the next start (the last
+    one runs to the end). Returns one :data:`CLASS_ORDER` code per
+    session. Each distinct IID is typed once; every per-session count
+    below is a segmented sum over the session boundaries.
     """
-    histogram: Counter = Counter()
-    if not targets:
-        return histogram
-    iids = np.fromiter((t & _MASK64 for t in targets),
-                       dtype=np.uint64, count=len(targets))
-    uniq, counts = np.unique(iids, return_counts=True)
-    for code, count in zip(classify_iids(uniq).tolist(), counts.tolist()):
-        histogram[TYPE_ORDER[code]] += count
-    return histogram
+    dst_hi = np.asarray(dst_hi, dtype=np.uint64)
+    dst_lo = np.asarray(dst_lo, dtype=np.uint64)
+    starts = np.asarray(starts, dtype=np.int64)
+    n = len(dst_lo)
+    if (not len(starts) or starts[0] != 0 or starts[-1] >= n
+            or np.any(starts[1:] <= starts[:-1])):
+        raise ClassificationError("every session needs at least one target")
+    sizes = np.diff(starts, append=n)
+
+    def per_session(values: np.ndarray) -> np.ndarray:
+        return np.add.reduceat(values, starts, dtype=np.int64)
+
+    iids, inverse = np.unique(dst_lo, return_inverse=True)
+    structured = per_session(_IS_STRUCTURED[classify_iids(iids)][inverse])
+    # ordered traversal (the Fig. 13 stripe pattern): >= 4 targets over
+    # >= 3 distinct subnets (one or two subnets are trivially "monotone"),
+    # >= 85% of subnet steps non-decreasing; a session's first row has no
+    # step, and rows sorted by (session, subnet) keep each session's range
+    step_up = np.empty(n, dtype=bool)
+    step_up[1:] = dst_hi[1:] >= dst_hi[:-1]
+    step_up[starts] = False
+    subnets = dst_hi[np.lexsort((dst_hi, np.repeat(np.arange(len(starts)),
+                                                   sizes)))]
+    new_subnet = np.empty(n, dtype=bool)
+    new_subnet[1:] = subnets[1:] != subnets[:-1]
+    new_subnet[starts] = True
+    long_enough = sizes >= 4
+    monotone = np.divide(per_session(step_up), sizes - 1,
+                         out=np.zeros(len(sizes)), where=long_enough)
+    ordered = long_enough & (per_session(new_subnet) >= 3) \
+        & (monotone >= 0.85)
+    random = (sizes >= MIN_PACKETS_FOR_NIST) & (monobit_pvalue(
+        per_session(np.bitwise_count(dst_lo)), 64 * sizes) >= ALPHA)
+
+    codes = np.full(len(starts), CLASS_CODE[AddressClass.UNKNOWN],
+                    dtype=np.uint8)
+    codes[random] = CLASS_CODE[AddressClass.RANDOM]
+    codes[(structured / sizes >= STRUCTURED_SHARE) | ordered] = \
+        CLASS_CODE[AddressClass.STRUCTURED]
+    return codes
 
 
-def structured_share(targets: list[int]) -> float:
-    """Fraction of targets with a structured addr6 type."""
-    if not targets:
-        raise ClassificationError("no targets to classify")
-    histogram = type_histogram(targets)
-    structured = sum(count for addr_type, count in histogram.items()
-                     if addr_type in _STRUCTURED_TYPES)
-    return structured / len(targets)
-
-
-def is_ordered_traversal(targets: list[int],
-                         min_monotone_share: float = 0.85) -> bool:
-    """Detect sequential prefix traversal (the Fig. 13 stripe pattern).
-
-    Comparison stays in exact integer arithmetic — 128-bit addresses lose
-    the subnet-granularity differences when cast to float64.
-    """
-    if len(targets) < 4:
-        return False
-    subnets = [t >> 64 for t in targets]
-    # a scan confined to one (or two) subnets is trivially "monotone";
-    # a traversal needs actual movement through the subnet space
-    if len(set(subnets)) < 3:
-        return False
-    non_decreasing = sum(1 for a, b in zip(subnets, subnets[1:]) if b >= a)
-    return non_decreasing / (len(subnets) - 1) >= min_monotone_share
-
-
-def classify_session(session: Session,
-                     telescope_prefix_len: int = 32,
-                     alpha: float = ALPHA) -> AddressClass:
-    """Classify a session's address selection per the paper's method."""
+def classify_session(session: Session) -> AddressClass:
+    """Classify a session's address selection per the paper's method:
+    the one-session case of :func:`classify_segments`."""
     targets = session.targets()
-    share = structured_share(targets)
-    if share >= STRUCTURED_SHARE or is_ordered_traversal(targets):
-        return AddressClass.STRUCTURED
-    if len(targets) >= MIN_PACKETS_FOR_NIST:
-        bits = bits_from_addresses(targets, take_bits=64, skip_high=64)
-        if frequency_test(bits) >= alpha:
-            return AddressClass.RANDOM
-    return AddressClass.UNKNOWN
-
-
-def classify_sessions(sessions: list[Session],
-                      telescope_prefix_len: int = 32) \
-        -> dict[AddressClass, int]:
-    """Histogram of address classes over a session list."""
-    histogram = {cls: 0 for cls in AddressClass}
-    for session in sessions:
-        histogram[classify_session(session, telescope_prefix_len)] += 1
-    return histogram
+    dst_hi = np.array([t >> 64 for t in targets], dtype=np.uint64)
+    dst_lo = np.array([t & _MASK64 for t in targets], dtype=np.uint64)
+    return CLASS_ORDER[classify_segments(dst_hi, dst_lo, [0])[0]]

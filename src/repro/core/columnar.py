@@ -727,6 +727,8 @@ def _sessionize_into(result: SessionSet, table: PacketTable, telescope: str,
     # so one stable argsort over the starts reproduces the final order
     session_order = np.argsort(t[firsts], kind="stable")
 
+    result.table, result.rows = table, order
+    result.bounds, result.run_of = bounds, session_order
     firsts_sorted = firsts[session_order]
     lo_list = firsts_sorted.tolist()
     hi_list = bounds[1:][session_order].tolist()

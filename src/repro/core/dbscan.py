@@ -2,13 +2,13 @@
 
 The paper uses DBSCAN twice: to classify network-selection behavior (§5.2)
 and to cluster probe payloads (§5.4). sklearn is unavailable offline, so
-this is a from-scratch implementation over a caller-supplied metric, with a
-fast Euclidean path for numeric data.
+this is a from-scratch implementation over Euclidean numeric data or a
+caller's precomputed distance matrix.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -24,13 +24,14 @@ PAIRWISE_LIMIT = 2048
 
 
 def dbscan(points: Sequence, eps: float, min_samples: int,
-           metric: Callable[[object, object], float] | None = None) \
-        -> list[int]:
+           metric: str = "euclidean") -> list[int]:
     """Cluster ``points``; returns one label per point (-1 = noise).
 
-    With ``metric=None`` points must be numeric vectors (or scalars) and
-    Euclidean distance is used via a vectorized neighborhood query;
-    otherwise ``metric`` is called pairwise.
+    With ``metric="euclidean"`` points must be numeric vectors (or
+    scalars) and neighborhoods come from a vectorized distance query;
+    with ``metric="precomputed"`` ``points`` is the square matrix of
+    pairwise distances. Either way a neighborhood lists its points in
+    ascending index order.
     """
     n = len(points)
     if n == 0:
@@ -40,27 +41,33 @@ def dbscan(points: Sequence, eps: float, min_samples: int,
     if min_samples < 1:
         raise AnalysisError(f"min_samples must be >= 1, got {min_samples}")
 
-    if metric is None:
+    if metric == "precomputed":
+        distances = np.asarray(points)
+        if distances.shape != (n, n):
+            raise AnalysisError(f"precomputed distances must be {n} x {n}, "
+                                f"got {distances.shape}")
+        adjacency = distances <= eps
+    elif metric == "euclidean":
         data = np.asarray(points, dtype=float)
         if data.ndim == 1:
             data = data[:, None]
+        adjacency = None
         if n <= PAIRWISE_LIMIT:
             # ||a-b||^2 = ||a||^2 + ||b||^2 - 2 a.b, computed once for all
             # pairs; comparing squared distances avoids the sqrt entirely
             sq = (data ** 2).sum(axis=1)
             d2 = sq[:, None] + sq[None, :] - 2.0 * (data @ data.T)
             adjacency = d2 <= eps * eps + 1e-12
+    else:
+        raise AnalysisError(f"unknown metric {metric!r}")
 
-            def neighbors_of(i: int) -> list[int]:
-                return list(np.nonzero(adjacency[i])[0])
-        else:
-            def neighbors_of(i: int) -> list[int]:
-                dist = ((data - data[i]) ** 2).sum(axis=1)
-                return list(np.nonzero(dist <= eps * eps)[0])
+    if adjacency is not None:
+        def neighbors_of(i: int) -> list[int]:
+            return np.flatnonzero(adjacency[i]).tolist()
     else:
         def neighbors_of(i: int) -> list[int]:
-            return [j for j in range(n)
-                    if metric(points[i], points[j]) <= eps]
+            dist = ((data - data[i]) ** 2).sum(axis=1)
+            return np.flatnonzero(dist <= eps * eps).tolist()
 
     labels = [None] * n  # type: list[int | None]
     cluster = 0

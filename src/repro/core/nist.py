@@ -62,9 +62,17 @@ def frequency_test(bits: np.ndarray) -> float:
     if n < MIN_BITS_FREQUENCY:
         raise AnalysisError(f"frequency test needs >= {MIN_BITS_FREQUENCY} "
                             f"bits, got {n}")
-    s = np.sum(2 * bits.astype(np.int64) - 1)
-    s_obs = abs(int(s)) / math.sqrt(n)
-    return float(erfc(s_obs / math.sqrt(2)))
+    return float(monobit_pvalue(int(np.sum(bits, dtype=np.int64)), n))
+
+
+def monobit_pvalue(ones, n):
+    """Frequency-test p-value of ``n`` bits holding ``ones`` one bits.
+
+    Element-wise over arrays, so per-session one counts from a segmented
+    popcount get their p-values in one call.
+    """
+    s_obs = np.abs(2 * ones - n) / np.sqrt(n)
+    return erfc(s_obs / math.sqrt(2))
 
 
 def runs_test(bits: np.ndarray) -> float:
@@ -113,13 +121,20 @@ def cusum_test(bits: np.ndarray, forward: bool = True) -> float:
     if z == 0:
         return 0.0
     sqrt_n = math.sqrt(n)
+
+    def terms(first: int, upper: int, lower: int) -> list[float]:
+        # cdf((4k + upper) z / sqrt n) - cdf((4k + lower) z / sqrt n)
+        k = np.arange(first, (n // z - 1) // 4 + 1)
+        cdf = norm.cdf(np.concatenate(((4 * k + upper) * z,
+                                       (4 * k + lower) * z)) / sqrt_n)
+        return (cdf[:len(k)] - cdf[len(k):]).tolist()
+
+    # summed one term at a time in k order, as SP 800-22 does
     total = 0.0
-    for k in range((-n // z + 1) // 4, (n // z - 1) // 4 + 1):
-        total += (norm.cdf((4 * k + 1) * z / sqrt_n)
-                  - norm.cdf((4 * k - 1) * z / sqrt_n))
-    for k in range((-n // z - 3) // 4, (n // z - 1) // 4 + 1):
-        total -= (norm.cdf((4 * k + 3) * z / sqrt_n)
-                  - norm.cdf((4 * k + 1) * z / sqrt_n))
+    for term in terms((-n // z + 1) // 4, 1, -1):
+        total += term
+    for term in terms((-n // z - 3) // 4, 3, 1):
+        total -= term
     p = 1.0 - total
     return float(min(max(p, 0.0), 1.0))
 

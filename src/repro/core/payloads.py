@@ -11,6 +11,8 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from repro.core.dbscan import NOISE, dbscan
 from repro.core.sessions import Session
 from repro.dns.resolver import Resolver
@@ -34,10 +36,6 @@ RDNS_HINTS = (
 def payload_prefix(payload: bytes) -> bytes:
     """Fixed-length leading-byte vector used as the clustering feature."""
     return payload[:PREFIX_BYTES].ljust(PREFIX_BYTES, b"\x00")
-
-
-def _hamming(a: bytes, b: bytes) -> float:
-    return float(sum(x != y for x, y in zip(a, b)))
 
 
 @dataclass
@@ -73,10 +71,19 @@ class ToolReport:
 
 def cluster_payloads(payloads: list[bytes], eps: float = DEFAULT_EPS,
                      min_samples: int = 2) -> list[int]:
-    """Cluster payloads by leading-byte distance; returns labels."""
-    prefixes = [payload_prefix(p) for p in payloads]
-    return dbscan(prefixes, eps=eps, min_samples=min_samples,
-                  metric=_hamming)
+    """Cluster payloads by leading-byte distance; returns labels.
+
+    The distance counts differing prefix bytes, summed one byte column
+    at a time into an n x n ``uint8`` matrix (an n x n x 8 broadcast
+    would hold eight times that)."""
+    n = len(payloads)
+    prefixes = np.frombuffer(b"".join(payload_prefix(p) for p in payloads),
+                             dtype=np.uint8).reshape(n, PREFIX_BYTES)
+    distances = np.zeros((n, n), dtype=np.uint8)
+    for column in prefixes.T:
+        distances += column[:, None] != column[None, :]
+    return dbscan(distances, eps=eps, min_samples=min_samples,
+                  metric="precomputed")
 
 
 def _match_tool(payload: bytes) -> ToolSignature | None:

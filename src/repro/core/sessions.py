@@ -9,7 +9,7 @@ T = 1 hour; no minimum packet or target count is applied.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator
+from typing import Any, Iterable, Iterator
 
 from repro.core.aggregation import AggregationLevel, source_key
 from repro.errors import AnalysisError
@@ -63,12 +63,22 @@ class Session:
 
 @dataclass
 class SessionSet:
-    """All sessions of one telescope at one aggregation level."""
+    """All sessions of one telescope at one aggregation level.
+
+    :func:`repro.core.columnar.sessionize_table` also keeps its row
+    layout: ``table`` rows ``rows[bounds[r]:bounds[r + 1]]`` are one
+    session, in arrival order, and ``sessions[i]`` is run
+    ``run_of[i]``. Column kernels read every session through it.
+    """
 
     telescope: str
     level: AggregationLevel
     timeout: float
     sessions: list[Session] = field(default_factory=list)
+    table: Any = field(default=None, compare=False, repr=False)
+    rows: Any = field(default=None, compare=False, repr=False)
+    bounds: Any = field(default=None, compare=False, repr=False)
+    run_of: Any = field(default=None, compare=False, repr=False)
 
     def __len__(self) -> int:
         return len(self.sessions)

@@ -48,12 +48,21 @@ class TestBasicClustering:
         assert num_clusters(labels) == 1
 
     def test_custom_metric(self):
-        def metric(a, b):
-            return abs(len(a) - len(b))
+        """A caller's own metric enters as a precomputed distance
+        matrix."""
         words = ["a", "bb", "ccc", "dddddddddd"]
-        labels = dbscan(words, eps=1.0, min_samples=2, metric=metric)
+        distances = [[abs(len(a) - len(b)) for b in words] for a in words]
+        labels = dbscan(distances, eps=1.0, min_samples=2,
+                        metric="precomputed")
         assert labels[0] == labels[1] == labels[2]
         assert labels[3] == NOISE
+
+    def test_precomputed_must_be_square(self):
+        with pytest.raises(AnalysisError):
+            dbscan([[0.0, 1.0]], eps=1.0, min_samples=1,
+                   metric="precomputed")
+        with pytest.raises(AnalysisError):
+            dbscan([1.0], eps=1.0, min_samples=1, metric="cosine")
 
     def test_invalid_parameters(self):
         with pytest.raises(AnalysisError):

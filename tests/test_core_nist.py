@@ -108,6 +108,33 @@ class TestCusum:
         assert cusum_test(bits) < ALPHA
 
 
+#: (seed, bits, share of ones) -> exact (frequency, cusum forward, cusum
+#: backward) p-values, recorded with the former per-k ``norm.cdf`` loops
+#: and the former monobit expression.
+PINNED = [
+    (1, 6400, 0.5, 0.5485062355001471, 0.6638336553168549,
+     0.31556037689994787),
+    (2, 12800, 0.5, 0.6585313664984052, 0.5366097517121685,
+     0.917288610256179),
+    (3, 1000, 0.52, 0.12904130509946812, 0.07966523709260409,
+     0.12415438803160761),
+    (4, 25600, 0.5, 0.6983860849257155, 0.8732574037680236,
+     0.7807037325627766),
+    (5, 640, 0.45, 0.1547289234853786, 0.22768839314140965,
+     0.24632911525320278),
+]
+
+
+@pytest.mark.parametrize("seed, n, p_one, frequency, forward, backward",
+                         PINNED)
+def test_pinned_p_values(seed, n, p_one, frequency, forward, backward):
+    rng = np.random.default_rng(seed)
+    bits = (rng.random(n) < p_one).astype(np.int8)
+    assert frequency_test(bits) == frequency
+    assert cusum_test(bits, forward=True) == forward
+    assert cusum_test(bits, forward=False) == backward
+
+
 class TestBattery:
     def test_random_is_random(self, random_bits):
         results = run_battery(random_bits)

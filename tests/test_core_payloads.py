@@ -1,14 +1,19 @@
 """Tests for repro.core.payloads."""
 
+import hashlib
+import json
+
 import numpy as np
 import pytest
 
+from repro.core.dbscan import NOISE, num_clusters
 from repro.core.payloads import (cluster_payloads, identify_tools,
                                  payload_prefix)
 from repro.core.sessions import Session
 from repro.dns.resolver import Resolver
 from repro.dns.zone import Zone
-from repro.scanners.tools import RIPE_ATLAS, SIX_SENSE, YARRP6
+from repro.scanners.tools import (RIPE_ATLAS, SIX_SENSE, TOOL_SIGNATURES,
+                                  YARRP6)
 from repro.telescope.packet import ICMPV6, Packet
 
 
@@ -36,6 +41,38 @@ class TestClusterPayloads:
         assert len(set(labels[:5])) == 1
         assert len(set(labels[5:])) == 1
         assert labels[0] != labels[5]
+
+    def test_empty(self):
+        assert cluster_payloads([]) == []
+
+    def test_labels_at_sample_cap_match_reference(self):
+        """1,500 seeded payloads (``identify_tools``' sample cap): tool
+        probes, random bytes of 1-23 bytes and mutations of one 8-byte
+        prefix. The digest was recorded with the former pairwise
+        pure-Python Hamming metric."""
+        rng = np.random.default_rng(2024)
+        payloads = []
+        for _ in range(1500):
+            kind = int(rng.integers(0, 10))
+            if kind < 6:
+                tool = TOOL_SIGNATURES[int(rng.integers(
+                    0, len(TOOL_SIGNATURES)))]
+                payloads.append(tool.payload(
+                    rng, seq=int(rng.integers(0, 2 ** 32))))
+            elif kind < 9:
+                payloads.append(bytes(rng.integers(
+                    0, 256, size=int(rng.integers(1, 24))).tolist()))
+            else:
+                base = bytearray(b"\x13\x37\xca\xfe\x00\x00\x00\x00")
+                for _ in range(int(rng.integers(0, 4))):
+                    base[int(rng.integers(0, 8))] = int(rng.integers(0, 256))
+                payloads.append(bytes(base))
+        labels = cluster_payloads(payloads)
+        assert num_clusters(labels) == 45
+        assert labels.count(NOISE) == 564
+        digest = hashlib.sha256(json.dumps(labels).encode()).hexdigest()
+        assert digest == ("ba6d4fc383b78e7f89009d31d924d071"
+                          "9896ae58be5649ee68c0ebff95921682")
 
 
 class TestIdentifyTools:
