@@ -21,10 +21,8 @@ from dataclasses import dataclass
 from repro.analysis.context import CorpusAnalysis
 from repro.core.addrclass import CLASS_ORDER
 from repro.core.aggregation import AggregationLevel
-from repro.core.temporal import TemporalClass
 from repro.errors import AnalysisError
 from repro.experiment.phases import Phase
-from repro.telescope.packet import Protocol
 
 
 def _normalize(counter: Counter) -> dict:

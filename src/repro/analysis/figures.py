@@ -20,8 +20,8 @@ from repro.core.addrclass import CLASS_ORDER, AddressClass
 from repro.core.aggregation import AggregationLevel
 from repro.core.heavy import HeavyHitter, find_heavy_hitters
 from repro.core.nist import (bits_from_addresses, run_battery)
-from repro.core.overlap import (DayOverlap, UpSetData, day_overlap,
-                                sources_everywhere, upset)
+from repro.core.overlap import (UpSetData, day_overlap, sources_everywhere,
+                                upset)
 from repro.core.reactivity import (CycleActivity, cycle_activity,
                                    new_source_prefixes_per_day,
                                    sessions_per_prefix_cumulative)
@@ -607,10 +607,6 @@ class Fig17Result:
 
     pass_shares: dict[tuple[TemporalClass, str, str], float]
     sessions_tested: int
-
-    def share(self, temporal: TemporalClass, section: str,
-              test: str) -> float:
-        return self.pass_shares.get((temporal, section, test), 0.0)
 
     def render(self) -> str:
         lines = [f"Fig 17: NIST outcomes over {self.sessions_tested} "

@@ -13,10 +13,10 @@ counts are reported for context.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
 
 from repro.errors import AnalysisError
 from repro.net.prefix import Prefix
@@ -97,8 +97,6 @@ def route_object_effect(packets: list[Packet], prefix: Prefix,
                             "route-object creation")
     daily_before = [len(day) for day in sources_daily_before]
     daily_after = [len(day) for day in sources_daily_after]
-    result = stats.mannwhitneyu(daily_before, daily_after,
-                                alternative="two-sided")
     return RouteObjectEffect(
         created_at=created_at,
         window_days=window_days,
@@ -108,4 +106,52 @@ def route_object_effect(packets: list[Packet], prefix: Prefix,
         sources_after=len(set().union(*sources_daily_after)),
         daily_sources_before=tuple(daily_before),
         daily_sources_after=tuple(daily_after),
-        p_value=float(result.pvalue))
+        p_value=mann_whitney_u(daily_before, daily_after))
+
+
+def mann_whitney_u(x, y) -> float:
+    """Two-sided Mann-Whitney U test p-value of samples ``x`` and ``y``.
+
+    As SciPy's ``mannwhitneyu`` with its default ``method="auto"``: the
+    exact null distribution of U when one sample has at most 8 values and
+    no value is tied, otherwise the tie-corrected normal approximation
+    with continuity correction.
+    """
+    values = np.concatenate((np.asarray(x, dtype=np.float64),
+                             np.asarray(y, dtype=np.float64)))
+    n1, n2 = len(x), len(y)
+    order = np.argsort(values, kind="stable")
+    ordered = values[order]
+    first = np.flatnonzero(np.r_[True, ordered[1:] != ordered[:-1]])
+    ties = np.diff(first, append=len(values))
+    ranks = np.empty(len(values))
+    ranks[order] = np.repeat(first + 1 + (ties - 1) / 2, ties)
+    u1 = float(np.sum(ranks[:n1])) - n1 * (n1 + 1) / 2
+    u = max(u1, n1 * n2 - u1)
+    if (n1 <= 8 or n2 <= 8) and not np.any(ties > 1):
+        # P(U >= u) = P(U <= n1 n2 - u) by symmetry, over the exact counts
+        counts = _u_counts(min(n1, n2), max(n1, n2))
+        tail = sum(counts[:n1 * n2 - int(u) + 1])
+        p = 2 * tail / math.comb(n1 + n2, n1)
+    else:
+        n = n1 + n2
+        tie_term = float(np.sum(ties.astype(np.float64) ** 3 - ties))
+        s = math.sqrt(n1 * n2 / 12 * ((n + 1) - tie_term / (n * (n - 1))))
+        # every value tied: no spread, so no evidence of a shift
+        p = math.erfc((u - n1 * n2 / 2 - 0.5) / s / math.sqrt(2)) \
+            if s > 0 else 1.0
+    return min(max(p, 0.0), 1.0)
+
+
+def _u_counts(m: int, n: int) -> list[int]:
+    """How many of the ``C(m + n, m)`` rank splits give each U in
+    ``0..m*n``: the coefficients of the Gaussian binomial
+    ``prod_{i=1..m} (1 - q^(n+i)) / (1 - q^i)``."""
+    size = m * n + m + 1
+    counts = [1] + [0] * (size - 1)
+    for i in range(1, m + 1):
+        for k in range(size - 1, n + i - 1, -1):
+            counts[k] -= counts[k - n - i]
+        for k in range(i, size):
+            counts[k] += counts[k - i]
+    return counts[:m * n + 1]

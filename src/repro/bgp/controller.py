@@ -48,9 +48,6 @@ class AnnouncementCycle:
     prefixes: tuple[Prefix, ...]
     new_prefixes: tuple[Prefix, ...]
 
-    def most_specific(self) -> Prefix:
-        return max(self.prefixes, key=lambda p: (p.length, p.network))
-
 
 def choose_split_target(prefixes: set[Prefix], low_byte_addr: int) -> Prefix:
     """Pick the prefix to split next per the paper's rule.

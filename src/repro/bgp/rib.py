@@ -73,9 +73,6 @@ class AdjRibIn:
     def get(self, prefix: Prefix) -> Route | None:
         return self._routes.get(prefix)
 
-    def prefixes(self) -> list[Prefix]:
-        return list(self._routes)
-
 
 class LocRib:
     """Selected best routes, with longest-prefix data-plane lookup.

@@ -301,7 +301,7 @@ class BGPNetwork:
         self._listeners: list[UpdateListener] = []
         for asn in topology.ases():
             self.speakers[asn] = BGPSpeaker(asn, self)
-        for a, b in topology.graph.edges:
+        for a, b in topology.links():
             self.speakers[a].add_neighbor(b)
             self.speakers[b].add_neighbor(a)
             delay = float(rng.uniform(min_link_delay, max_link_delay))
@@ -354,14 +354,6 @@ class BGPNetwork:
                 update: Announcement | Withdrawal) -> None:
         """Deliver a propagated update (picklable event callback)."""
         self.speakers[receiver].receive(sender, update)
-
-    def converge(self, settle: float = 600.0) -> None:
-        """Run the simulator forward until in-flight updates settle.
-
-        Convenience for tests and setup phases; production runs advance the
-        simulator through the normal event loop instead.
-        """
-        self.simulator.run_until(self.simulator.now + settle)
 
     def visibility(self, prefix: Prefix) -> float:
         """Fraction of ASes whose Loc-RIB holds an exact route to ``prefix``."""

@@ -15,9 +15,9 @@ Edges carry Gao-Rexford relationships:
 from __future__ import annotations
 
 import enum
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
-import networkx as nx
 import numpy as np
 
 from repro.errors import RoutingError
@@ -45,15 +45,18 @@ class ASInfo:
 class ASTopology:
     """Inter-domain graph with relationship-labeled adjacencies."""
 
-    graph: nx.Graph = field(default_factory=nx.Graph)
     info: dict[int, ASInfo] = field(default_factory=dict)
+    #: ``adjacency[a][b]`` is what ``b`` is to ``a``; both dict levels
+    #: keep insertion order, which fixes the order of :meth:`links`.
+    adjacency: dict[int, dict[int, ASRelationship]] = field(
+        default_factory=dict)
 
     def add_as(self, asn: int, tier: int, name: str = "",
                country: str = "") -> None:
         if asn in self.info:
             raise RoutingError(f"AS{asn} already exists")
         self.info[asn] = ASInfo(asn=asn, tier=tier, name=name, country=country)
-        self.graph.add_node(asn)
+        self.adjacency[asn] = {}
 
     def add_link(self, a: int, b: int,
                  rel_a: ASRelationship) -> None:
@@ -72,17 +75,32 @@ class ASTopology:
             rel_b = ASRelationship.PROVIDER
         else:
             rel_b = ASRelationship.CUSTOMER
-        self.graph.add_edge(a, b, rel={a: rel_a, b: rel_b})
+        self.adjacency[a][b] = rel_a
+        self.adjacency[b][a] = rel_b
+
+    def has_link(self, a: int, b: int) -> bool:
+        return b in self.adjacency.get(a, ())
+
+    def links(self) -> Iterator[tuple[int, int]]:
+        """Each adjacency once, as ``(a, b)``: every AS in insertion order,
+        then each of its neighbours not yet yielded, in link order."""
+        seen = set()
+        for a, neighbors in self.adjacency.items():
+            for b in neighbors:
+                if b not in seen:
+                    yield a, b
+            seen.add(a)
 
     def relationship(self, asn: int, neighbor: int) -> ASRelationship:
         """What ``neighbor`` is to ``asn`` on their shared adjacency."""
-        data = self.graph.get_edge_data(asn, neighbor)
-        if data is None:
-            raise RoutingError(f"no adjacency AS{asn}-AS{neighbor}")
-        return data["rel"][asn]
+        try:
+            return self.adjacency[asn][neighbor]
+        except KeyError:
+            raise RoutingError(
+                f"no adjacency AS{asn}-AS{neighbor}") from None
 
     def neighbors(self, asn: int) -> list[int]:
-        return sorted(self.graph.neighbors(asn))
+        return sorted(self.adjacency[asn])
 
     def ases(self) -> list[int]:
         return sorted(self.info)
@@ -94,10 +112,6 @@ class ASTopology:
     def providers(self, asn: int) -> list[int]:
         return [n for n in self.neighbors(asn)
                 if self.relationship(asn, n) is ASRelationship.PROVIDER]
-
-    def peers(self, asn: int) -> list[int]:
-        return [n for n in self.neighbors(asn)
-                if self.relationship(asn, n) is ASRelationship.PEER]
 
 
 def build_topology(rng: np.random.Generator,
@@ -140,7 +154,7 @@ def build_topology(rng: np.random.Generator,
             topo.add_link(int(up), t2, ASRelationship.CUSTOMER)
         # IXP-style peering ring among tier-2s
         ring_peer = tier2[(i + 1) % num_tier2]
-        if ring_peer != t2 and not topo.graph.has_edge(t2, ring_peer):
+        if ring_peer != t2 and not topo.has_link(t2, ring_peer):
             topo.add_link(t2, ring_peer, ASRelationship.PEER)
 
     for i in range(num_stubs):

@@ -35,8 +35,3 @@ def source_key(src: int, level: AggregationLevel = AggregationLevel.ADDR) \
     if level is AggregationLevel.PREFIX:
         return src >> 80
     raise AnalysisError(f"unsupported aggregation level {level!r}")
-
-
-def distinct_sources(srcs, level: AggregationLevel) -> set[int]:
-    """Set of aggregated source keys for an iterable of addresses."""
-    return {source_key(s, level) for s in srcs}

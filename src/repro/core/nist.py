@@ -13,8 +13,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import erfc
-from scipy.stats import norm
 
 from repro.errors import AnalysisError
 
@@ -27,6 +25,14 @@ MIN_BITS_FREQUENCY = 100
 MIN_BITS_RUNS = 100
 MIN_BITS_FFT = 100
 MIN_BITS_CUSUM = 100
+
+_erfc = np.frompyfunc(math.erfc, 1, 1)
+
+
+def erfc(x):
+    """Complementary error function (``math.erfc``), element-wise over
+    arrays; a scalar gives a 0-d array."""
+    return np.asarray(_erfc(x), dtype=np.float64)
 
 
 def bits_from_addresses(addresses, take_bits: int = 64,
@@ -125,8 +131,8 @@ def cusum_test(bits: np.ndarray, forward: bool = True) -> float:
     def terms(first: int, upper: int, lower: int) -> list[float]:
         # cdf((4k + upper) z / sqrt n) - cdf((4k + lower) z / sqrt n)
         k = np.arange(first, (n // z - 1) // 4 + 1)
-        cdf = norm.cdf(np.concatenate(((4 * k + upper) * z,
-                                       (4 * k + lower) * z)) / sqrt_n)
+        x = np.concatenate(((4 * k + upper) * z, (4 * k + lower) * z))
+        cdf = 0.5 * erfc(-x / sqrt_n / math.sqrt(2))
         return (cdf[:len(k)] - cdf[len(k):]).tolist()
 
     # summed one term at a time in k order, as SP 800-22 does

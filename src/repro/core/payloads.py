@@ -49,14 +49,6 @@ class PayloadCluster:
     rdns_label: str = ""
     category: str = "unknown"
 
-    @property
-    def name(self) -> str:
-        if self.tool is not None:
-            return self.tool.name
-        if self.rdns_label:
-            return self.rdns_label
-        return self.category
-
 
 @dataclass
 class ToolReport:

@@ -32,20 +32,6 @@ def most_specific_for(dst: int, cycle: AnnouncementCycle) -> Prefix | None:
     return best
 
 
-def packets_per_prefix(packets: list[Packet],
-                       cycles: list[AnnouncementCycle]) \
-        -> dict[Prefix, int]:
-    """Packet counts attributed to the most-specific announced prefix."""
-    counts: Counter = Counter()
-    for cycle in cycles:
-        for p in packets:
-            if cycle.announce_time <= p.time < cycle.withdraw_time:
-                prefix = most_specific_for(p.dst, cycle)
-                if prefix is not None:
-                    counts[prefix] += 1
-    return dict(counts)
-
-
 def sessions_per_prefix_cumulative(sessions: list[Session],
                                    cycles: list[AnnouncementCycle]) \
         -> dict[Prefix, list[int]]:

@@ -9,7 +9,6 @@ in :class:`repro.experiment.driver.ExperimentResult` for validation tests.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator
 
 from repro.bgp.controller import AnnouncementCycle
 from repro.core.columnar import ChunkedPacketTable, PacketTable, TableChunk
@@ -135,10 +134,6 @@ class PacketCorpus:
             self.tables_by_telescope[telescope] = table
         return table
 
-    def all_packets(self) -> Iterator[Packet]:
-        for name in TELESCOPE_NAMES:
-            yield from self.packets(name)
-
     def total_packets(self) -> int:
         total = 0
         for name in TELESCOPE_NAMES:
@@ -227,19 +222,6 @@ class PacketCorpus:
 
     def split_cycles(self) -> list[AnnouncementCycle]:
         return [c for c in self.schedule if c.index > 0]
-
-    def most_specific_announced(self, dst: int,
-                                time: float) -> Prefix | None:
-        """The most-specific announced T1 prefix covering ``dst`` then."""
-        cycle = self.cycle_at(time)
-        if cycle is None:
-            return None
-        best: Prefix | None = None
-        for prefix in cycle.prefixes:
-            if prefix.contains_address(dst):
-                if best is None or prefix.length > best.length:
-                    best = prefix
-        return best
 
     # -- source metadata -----------------------------------------------------------
 

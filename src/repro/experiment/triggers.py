@@ -31,7 +31,6 @@ from repro.sim.clock import DAY, WEEK
 from repro.sim.events import Simulator
 from repro.sim.rng import RngStreams
 from repro.telescope.capture import PacketCapture
-from repro.telescope.packet import Packet
 from repro.telescope.telescope import Telescope, TelescopeKind
 
 

@@ -76,19 +76,3 @@ def configure(level: str = "info", stream=None, fmt: str | None = None,
         _handler.addFilter(_run_filter)
     LOGGER.setLevel(numeric)
     return LOGGER
-
-
-def debug(msg: str, *args) -> None:
-    LOGGER.debug(msg, *args)
-
-
-def info(msg: str, *args) -> None:
-    LOGGER.info(msg, *args)
-
-
-def warning(msg: str, *args) -> None:
-    LOGGER.warning(msg, *args)
-
-
-def error(msg: str, *args) -> None:
-    LOGGER.error(msg, *args)

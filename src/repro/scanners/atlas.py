@@ -9,8 +9,6 @@ ISP (and some hosting) ASes, firing within days of each announcement.
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.bgp.controller import AnnouncementCycle
 from repro.net.prefix import Prefix
 from repro.scanners.base import (Scanner, SourceModel, TemporalBehavior,

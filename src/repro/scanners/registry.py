@@ -9,9 +9,7 @@ lookups.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
-
-import numpy as np
+from dataclasses import dataclass
 
 from repro.errors import ExperimentError
 from repro.net.prefix import Prefix
@@ -27,14 +25,6 @@ class NetworkType(enum.Enum):
     GOVERNMENT = "Government"
     UNKNOWN = "Unknown"
 
-
-#: Countries weighted roughly by scanner-origin popularity; the paper saw
-#: sources from 127 countries with a strong head.
-_COUNTRIES = ("US", "CN", "DE", "NL", "RU", "GB", "FR", "JP", "BR", "IN",
-              "CA", "AU", "SE", "CH", "PL", "IT", "ES", "KR", "SG", "ZA")
-_COUNTRY_WEIGHTS = np.array(
-    [0.22, 0.14, 0.12, 0.08, 0.06, 0.05, 0.05, 0.04, 0.04, 0.04,
-     0.03, 0.02, 0.02, 0.02, 0.02, 0.01, 0.01, 0.01, 0.01, 0.01])
 
 #: Base of the simulated scanner source-address space: each scanner AS gets
 #: a /48 carved out of 2a0e::/16 by ASN.
@@ -63,16 +53,6 @@ def source_prefix_for_asn(asn: int) -> Prefix:
 class ASRegistry:
     """Allocates and resolves scanner-hosting ASes."""
 
-    #: default mix over network types, matching Table 8's scanner shares.
-    DEFAULT_TYPE_MIX = {
-        NetworkType.HOSTING: 0.42,
-        NetworkType.ISP: 0.40,
-        NetworkType.EDUCATION: 0.08,
-        NetworkType.BUSINESS: 0.07,
-        NetworkType.GOVERNMENT: 0.01,
-        NetworkType.UNKNOWN: 0.02,
-    }
-
     def __init__(self, first_asn: int = 200_000) -> None:
         self._records: dict[int, ASRecord] = {}
         self._next_asn = first_asn
@@ -95,22 +75,6 @@ class ASRegistry:
         self._records[asn] = record
         self._by_prefix.append((prefix, asn))
         return record
-
-    def allocate_many(self, count: int, rng: np.random.Generator,
-                      type_mix: dict[NetworkType, float] | None = None) \
-            -> list[ASRecord]:
-        """Allocate ``count`` ASes sampled from ``type_mix`` and countries."""
-        if count < 0:
-            raise ExperimentError(f"negative AS count: {count}")
-        mix = type_mix or self.DEFAULT_TYPE_MIX
-        types = list(mix)
-        weights = np.array([mix[t] for t in types], dtype=float)
-        weights = weights / weights.sum()
-        countries = rng.choice(len(_COUNTRIES), size=count,
-                               p=_COUNTRY_WEIGHTS / _COUNTRY_WEIGHTS.sum())
-        chosen = rng.choice(len(types), size=count, p=weights)
-        return [self.allocate(types[int(t)], country=_COUNTRIES[int(c)])
-                for t, c in zip(chosen, countries)]
 
     @classmethod
     def restore(cls, records: list[ASRecord]) -> "ASRegistry":
@@ -146,9 +110,6 @@ class ASRegistry:
 
     def records(self) -> list[ASRecord]:
         return [self._records[asn] for asn in sorted(self._records)]
-
-    def asns(self) -> list[int]:
-        return sorted(self._records)
 
     def countries(self) -> set[str]:
         return {r.country for r in self._records.values()}

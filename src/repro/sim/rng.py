@@ -31,10 +31,6 @@ class RngStreams:
         self._master_seed = int(master_seed)
         self._cache: dict[str, np.random.Generator] = {}
 
-    @property
-    def master_seed(self) -> int:
-        return self._master_seed
-
     def seed_for(self, name: str) -> int:
         """Derive the 64-bit child seed for stream ``name``."""
         payload = f"{self._master_seed}:{name}".encode()

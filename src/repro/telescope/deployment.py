@@ -27,7 +27,6 @@ from repro.bgp.topology import ASTopology, attach_stub, build_topology
 from repro.dns.resolver import Resolver
 from repro.dns.umbrella import UmbrellaList
 from repro.dns.zone import Zone
-from repro.errors import ExperimentError
 from repro.hitlist.service import HitlistService
 from repro.net.lpm import NO_MATCH, build_matcher
 from repro.net.prefix import Prefix
@@ -116,20 +115,8 @@ class Deployment:
     _epoch_matchers: dict = field(default_factory=dict, repr=False)
 
     @property
-    def t1(self) -> Telescope:
-        return self.telescopes["T1"]
-
-    @property
     def t2(self) -> Telescope:
         return self.telescopes["T2"]
-
-    @property
-    def t3(self) -> Telescope:
-        return self.telescopes["T3"]
-
-    @property
-    def t4(self) -> Telescope:
-        return self.telescopes["T4"]
 
     # -- data plane ------------------------------------------------------------
 
@@ -273,9 +260,6 @@ class Deployment:
 
     def cycles(self) -> list[AnnouncementCycle]:
         return list(self.controller.schedule)
-
-    def total_packets(self) -> int:
-        return sum(len(t.capture) for t in self.telescopes.values())
 
     # -- scheduled setup callbacks (picklable event actions) -----------------
 

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.analysis.routeobject import RouteObjectEffect, route_object_effect
+from repro.analysis.routeobject import (RouteObjectEffect, mann_whitney_u,
+                                       route_object_effect)
 from repro.errors import AnalysisError
 from repro.net.prefix import Prefix
 from repro.sim.clock import DAY
@@ -22,6 +23,44 @@ def steady_packets(rate_per_day: float, start: float, end: float,
                               dst=PREFIX.network | 1, protocol=ICMPV6))
         t += DAY / rate_per_day * float(rng.uniform(0.5, 1.5))
     return packets
+
+
+#: (x, y) -> two-sided p-value of SciPy 1.17.1's ``mannwhitneyu`` with its
+#: default ``method="auto"``.
+MANN_WHITNEY_SCIPY = {
+    "exact_4_5": ([1, 3, 5, 7], [2, 4, 6, 8, 10], 0.4126984126984127),
+    "exact_8_8_separated": (list(range(1, 9)), list(range(9, 17)),
+                            0.0001554001554001554),
+    "exact_3_20": ([30, 31, 2], list(range(3, 23)), 0.4042913608130999),
+    "exact_1_1": ([1], [2], 1.0),
+    "exact_6_7_interleaved": ([1.5, 4.0, 2.25, 9.0, 11.0, 0.5],
+                              [3.0, 5.0, 6.0, 7.5, 8.0, 10.0, 12.0],
+                              0.23426573426573427),
+    "ties_small": ([1, 2, 2, 3, 5], [2, 3, 3, 4, 6, 7],
+                   0.16304505585423734),
+    "ties_one_small_one_large": ([4, 4, 9], list(range(1, 13)),
+                                 0.7718372320230663),
+    "large_no_ties": (list(range(20)), [i + 3.5 for i in range(30)],
+                      0.0012046262366718443),
+    "large_with_ties": ([3, 5, 5, 6, 7, 8, 8, 8, 9, 10, 12, 12],
+                        [1, 2, 2, 4, 5, 6, 6, 7, 7, 8, 11],
+                        0.06325176979271731),
+    "identical": (list(range(5, 14)), list(range(5, 14)), 1.0),
+    "all_tied": ([4, 4, 4], [4, 4, 4, 4], 1.0),
+    "daily_counts_28": (
+        [3, 5, 4, 6, 2, 5, 7, 4, 3, 6, 5, 4, 8, 2, 3, 5, 6, 4, 5, 3, 4, 6,
+         7, 5, 4, 3, 2, 6],
+        [5, 7, 6, 8, 4, 6, 9, 5, 6, 7, 8, 5, 9, 4, 6, 7, 8, 6, 5, 7, 6, 8,
+         9, 7, 6, 5, 4, 8],
+        9.918034307830332e-05),
+}
+
+
+@pytest.mark.parametrize("x, y, expected", MANN_WHITNEY_SCIPY.values(),
+                         ids=MANN_WHITNEY_SCIPY.keys())
+def test_mann_whitney_matches_scipy(x, y, expected):
+    assert mann_whitney_u(x, y) == pytest.approx(expected, rel=1e-12)
+    assert mann_whitney_u(y, x) == pytest.approx(expected, rel=1e-12)
 
 
 class TestRouteObjectEffect:

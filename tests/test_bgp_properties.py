@@ -79,7 +79,7 @@ def test_protocol_invariants(seed, num_tier2, num_stubs):
         # (3) consecutive path hops share an adjacency
         full_path = (asn, *route.as_path)
         for a, b in zip(full_path, full_path[1:]):
-            assert network.topology.graph.has_edge(a, b)
+            assert network.topology.has_link(a, b)
         # (4) valley-free (Gao-Rexford export compliance)
         assert is_valley_free(full_path, network.topology), full_path
 

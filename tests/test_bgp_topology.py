@@ -1,11 +1,16 @@
 """Tests for repro.bgp.topology."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
 from repro.bgp.topology import (ASRelationship, ASTopology, attach_stub,
                                 build_topology)
 from repro.errors import RoutingError
+from repro.experiment import ExperimentConfig
+from repro.experiment.driver import deployment_for
+from repro.sim.rng import RngStreams
 
 
 @pytest.fixture
@@ -94,3 +99,32 @@ class TestAttachStub:
         t.add_as(1, tier=1)
         with pytest.raises(RoutingError):
             attach_stub(t, 65000, np.random.default_rng(0))
+
+
+class TestLinks:
+    def test_each_link_once_in_insertion_order(self):
+        t = ASTopology()
+        for asn in (3, 1, 2, 4):
+            t.add_as(asn, tier=1)
+        t.add_link(1, 2, ASRelationship.PEER)
+        t.add_link(3, 4, ASRelationship.CUSTOMER)
+        t.add_link(2, 3, ASRelationship.PROVIDER)
+        t.add_link(4, 1, ASRelationship.PEER)
+        assert list(t.links()) == [(3, 4), (3, 2), (1, 2), (1, 4)]
+        assert t.has_link(2, 3) and t.has_link(3, 2)
+        assert not t.has_link(1, 3) and not t.has_link(9, 1)
+
+    #: link count and sha256 of ``repr(list(links()))``: ``BGPNetwork``
+    #: draws the per-link delays in this order, so any other order moves
+    #: every corpus digest.
+    @pytest.mark.parametrize("config, count, digest", [
+        (ExperimentConfig.tiny(), 45,
+         "f5a92731c726be5910858bbbd4a9ecfe11e838f09f590d030a13c5d1f3ce5a25"),
+        (ExperimentConfig(), 132,
+         "a9036b683430cbf02f917c5e8dab2f26e01ff85f80044fd622ce38f4a9e42664"),
+    ], ids=["tiny", "default"])
+    def test_deployment_link_order_pinned(self, config, count, digest):
+        topology = deployment_for(config, RngStreams(config.seed)).topology
+        links = list(topology.links())
+        assert len(links) == count
+        assert hashlib.sha256(repr(links).encode()).hexdigest() == digest

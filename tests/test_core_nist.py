@@ -108,9 +108,9 @@ class TestCusum:
         assert cusum_test(bits) < ALPHA
 
 
-#: (seed, bits, share of ones) -> exact (frequency, cusum forward, cusum
-#: backward) p-values, recorded with the former per-k ``norm.cdf`` loops
-#: and the former monobit expression.
+#: (seed, bits, share of ones) -> (frequency, cusum forward, cusum
+#: backward) p-values as recorded with SciPy 1.17.1's ``erfc`` and
+#: ``norm.cdf``.
 PINNED = [
     (1, 6400, 0.5, 0.5485062355001471, 0.6638336553168549,
      0.31556037689994787),
@@ -124,15 +124,25 @@ PINNED = [
      0.24632911525320278),
 ]
 
+#: The exact p-values of the same cases under ``math.erfc``, by seed.
+PINNED_ERFC = {
+    1: (0.5485062355001472, 0.6638336553168547, 0.31556037689994776),
+    2: (0.658531366498405, 0.5366097517121685, 0.917288610256179),
+    3: (0.12904130509946807, 0.07966523709260454, 0.12415438803160761),
+    4: (0.6983860849257155, 0.8732574037680235, 0.7807037325627767),
+    5: (0.15472892348537862, 0.22768839314140976, 0.2463291152532031),
+}
+
 
 @pytest.mark.parametrize("seed, n, p_one, frequency, forward, backward",
                          PINNED)
 def test_pinned_p_values(seed, n, p_one, frequency, forward, backward):
     rng = np.random.default_rng(seed)
     bits = (rng.random(n) < p_one).astype(np.int8)
-    assert frequency_test(bits) == frequency
-    assert cusum_test(bits, forward=True) == forward
-    assert cusum_test(bits, forward=False) == backward
+    got = (frequency_test(bits), cusum_test(bits, forward=True),
+           cusum_test(bits, forward=False))
+    assert got == PINNED_ERFC[seed]
+    assert got == pytest.approx((frequency, forward, backward), rel=1e-12)
 
 
 class TestBattery:

@@ -7,7 +7,6 @@ from repro.core.reactivity import (CycleActivity, cycle_activity,
                                    growth_factor, live_monitors,
                                    most_specific_for,
                                    new_source_prefixes_per_day,
-                                   packets_per_prefix,
                                    sessions_per_prefix_cumulative,
                                    split_half_comparison)
 from repro.core.sessions import sessionize
@@ -32,18 +31,6 @@ class TestMostSpecific:
 
     def test_outside_none(self):
         assert most_specific_for(1, SCHEDULE[1]) is None
-
-
-class TestPacketsPerPrefix:
-    def test_attribution(self):
-        cycle = SCHEDULE[1]
-        low, high = cycle.prefixes
-        packets = [packet(cycle.announce_time + 1, low.low_byte_address),
-                   packet(cycle.announce_time + 2, high.low_byte_address),
-                   packet(cycle.announce_time + 3, high.low_byte_address)]
-        counts = packets_per_prefix(packets, [cycle])
-        assert counts[low] == 1
-        assert counts[high] == 2
 
 
 class TestSessionsPerPrefixCumulative:

@@ -7,6 +7,7 @@ from repro.errors import AnalysisError
 from repro.experiment import ExperimentConfig, run_experiment
 from repro.experiment.driver import STAGES
 from repro.experiment.phases import Phase
+from repro.experiment.store import corpus_digest
 from repro.scanners.base import SourceModel
 
 
@@ -21,8 +22,9 @@ class TestRunExperiment:
         assert len(tiny_corpus.packets("T2")) > 100
 
     def test_packet_times_inside_duration(self, tiny_corpus):
-        for p in tiny_corpus.all_packets():
-            assert 0.0 <= p.time <= tiny_corpus.config.duration * 1.01
+        for name in ("T1", "T2", "T3", "T4"):
+            for p in tiny_corpus.packets(name):
+                assert 0.0 <= p.time <= tiny_corpus.config.duration * 1.01
 
     def test_deterministic_given_seed(self):
         a = run_experiment(ExperimentConfig.tiny(seed=9))
@@ -91,6 +93,18 @@ class TestStageTiming:
         assert result.deployment.simulator.heartbeat is None
 
 
+class TestCorpusDigest:
+    """The corpus of each fixture config, pinned at its recorded digest."""
+
+    def test_tiny(self, tiny_result):
+        assert corpus_digest(tiny_result.corpus) == (
+            "b99aca366915de5f0c00b63e261714302f1e273f0d10cfa07581f511de562587")
+
+    def test_small(self, small_result):
+        assert corpus_digest(small_result.corpus) == (
+            "170c4dc354240d964f3604bb00e69db71538fd8595c832c10884d42a3384bc09")
+
+
 class TestCorpus:
     def test_phase_packets_partition(self, tiny_corpus):
         full = len(tiny_corpus.packets("T1"))
@@ -110,10 +124,3 @@ class TestCorpus:
         cycles = tiny_corpus.split_cycles()
         assert len(cycles) == tiny_corpus.config.num_cycles
         assert all(c.index > 0 for c in cycles)
-
-    def test_most_specific_announced(self, tiny_corpus):
-        cycle = tiny_corpus.split_cycles()[-1]
-        deepest = max(cycle.prefixes, key=lambda p: p.length)
-        hit = tiny_corpus.most_specific_announced(
-            deepest.low_byte_address, cycle.announce_time + 60)
-        assert hit == deepest

@@ -33,16 +33,6 @@ class TestASRegistry:
         assert record.country == "DE"
         assert registry.get(record.asn) is record
 
-    def test_allocate_many_respects_mix(self):
-        registry = ASRegistry()
-        rng = np.random.default_rng(0)
-        records = registry.allocate_many(
-            500, rng, type_mix={NetworkType.HOSTING: 0.8,
-                                NetworkType.ISP: 0.2})
-        hosting = sum(1 for r in records
-                      if r.network_type is NetworkType.HOSTING)
-        assert 320 < hosting < 480
-
     def test_lookup_source(self):
         registry = ASRegistry()
         record = registry.allocate(NetworkType.ISP)
@@ -60,14 +50,12 @@ class TestASRegistry:
         with pytest.raises(ExperimentError):
             ASRegistry().get(5)
 
-    def test_negative_count_rejected(self):
-        with pytest.raises(ExperimentError):
-            ASRegistry().allocate_many(-1, np.random.default_rng(0))
-
     def test_countries_collected(self):
         registry = ASRegistry()
-        registry.allocate_many(50, np.random.default_rng(0))
-        assert len(registry.countries()) > 1
+        for country in ("DE", "NL", "DE"):
+            registry.allocate(NetworkType.ISP, country=country)
+        registry.allocate(NetworkType.HOSTING)
+        assert registry.countries() == {"DE", "NL", "US"}
 
 
 class TestToolSignatures:
