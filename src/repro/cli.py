@@ -6,10 +6,9 @@ Subcommands:
 - ``repro run``      — simulate a campaign and print a summary.
 - ``repro tables``   — simulate (or reuse a seed) and print Tables 2-8.
 - ``repro figures``  — print the figure-data summaries.
-- ``repro save``     — simulate and persist the corpus (v2 chunked
-  store by default; ``--format-version 1`` writes the legacy layout).
-- ``repro load``     — analyze a saved corpus (lazy mmap for v2).
-- ``repro migrate-store`` — rewrite a saved corpus as the v2 layout.
+- ``repro save``     — simulate and persist the corpus as a chunked
+  store.
+- ``repro load``     — analyze a saved corpus (lazy, memory-mapped).
 - ``repro runs``     — browse the run ledger (``list``, ``show``, and
   ``compare``, which exits non-zero on a stage-time regression).
 
@@ -147,13 +146,6 @@ def build_parser() -> argparse.ArgumentParser:
         if name == "save":
             cmd.add_argument("--out", required=True,
                              help="output directory for the corpus")
-            cmd.add_argument("--format-version", type=int, default=None,
-                             choices=(1, 2),
-                             help="store format to write (default: 2, "
-                                  "the chunked mmap layout)")
-            cmd.add_argument("--chunk-rows", type=int, default=None,
-                             help="rows per v2 chunk file (default "
-                                  "65536)")
 
     load = sub.add_parser("load",
                           help="load a saved corpus and print Tables 2-8")
@@ -162,16 +154,6 @@ def build_parser() -> argparse.ArgumentParser:
                       help="quarantine corrupt segments/chunks (load them "
                            "empty with a coverage gap) instead of failing")
     _add_obs_flags(load)
-
-    migrate = sub.add_parser(
-        "migrate-store",
-        help="rewrite a saved corpus as the v2 chunked mmap layout")
-    migrate.add_argument("src", help="existing corpus directory (v1 or v2)")
-    migrate.add_argument("dst", help="destination directory for the "
-                                     "migrated v2 corpus")
-    migrate.add_argument("--chunk-rows", type=int, default=None,
-                         help="rows per v2 chunk file (default 65536)")
-    _add_obs_flags(migrate)
 
     runs = sub.add_parser("runs", help="browse the run ledger")
     runs.add_argument("action", choices=("list", "show", "compare"),
@@ -311,14 +293,10 @@ def cmd_validate(args: argparse.Namespace) -> int:
 
 
 def cmd_save(args: argparse.Namespace) -> int:
-    from repro.experiment.store import (DEFAULT_CHUNK_ROWS, FORMAT_VERSION,
-                                        save_corpus)
+    from repro.experiment.store import FORMAT_VERSION, save_corpus
     result = _simulate(args)
-    version = args.format_version or FORMAT_VERSION
-    chunk_rows = args.chunk_rows or DEFAULT_CHUNK_ROWS
-    path = save_corpus(result.corpus, args.out, format_version=version,
-                       chunk_rows=chunk_rows)
-    print(f"corpus written to {path} (format v{version})")
+    path = save_corpus(result.corpus, args.out)
+    print(f"corpus written to {path} (format v{FORMAT_VERSION})")
     return 0
 
 
@@ -328,15 +306,6 @@ def cmd_load(args: argparse.Namespace) -> int:
     log.info("loaded %s packets from %s",
              f"{corpus.total_packets():,}", args.path)
     _print_tables(CorpusAnalysis(corpus))
-    return 0
-
-
-def cmd_migrate_store(args: argparse.Namespace) -> int:
-    from repro.experiment.store import DEFAULT_CHUNK_ROWS, migrate_store
-    chunk_rows = args.chunk_rows or DEFAULT_CHUNK_ROWS
-    path = migrate_store(args.src, args.dst, chunk_rows=chunk_rows)
-    print(f"corpus migrated to {path} (format v2, "
-          f"{chunk_rows} rows/chunk)")
     return 0
 
 
@@ -470,7 +439,6 @@ def main(argv: list[str] | None = None) -> int:
         "validate": cmd_validate,
         "save": cmd_save,
         "load": cmd_load,
-        "migrate-store": cmd_migrate_store,
         "runs": cmd_runs,
     }
     try:

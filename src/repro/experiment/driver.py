@@ -65,13 +65,6 @@ class ExperimentResult:
     #: ``on_shard_failure="degrade"`` — their scanners' traffic is
     #: missing from the corpus and recorded as coverage gaps.
     quarantined_shards: tuple[int, ...] = ()
-    _scanner_index: dict[int, Scanner] | None = field(
-        default=None, repr=False, compare=False)
-
-    def scanner_by_id(self, scanner_id: int) -> Scanner | None:
-        if self._scanner_index is None:
-            self._scanner_index = {s.scanner_id: s for s in self.population}
-        return self._scanner_index.get(scanner_id)
 
     def ground_truth_temporal(self) -> dict[int, str]:
         """scanner_id -> generative temporal kind (validation only)."""

@@ -31,10 +31,3 @@ def phase_bounds(config: ExperimentConfig, phase: Phase) \
     if phase is Phase.FULL:
         return 0.0, config.duration
     raise ExperimentError(f"unknown phase {phase}")
-
-
-def week_index(time: float) -> int:
-    """Zero-based week bucket of a timestamp."""
-    if time < 0:
-        raise ExperimentError(f"negative time {time}")
-    return int(time // WEEK)

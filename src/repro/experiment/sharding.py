@@ -71,9 +71,8 @@ from repro.experiment.config import ExperimentConfig, RetryPolicy
 from repro.experiment.corpus import TELESCOPE_NAMES
 from repro.experiment.driver import (context_for, deployment_for,
                                      population_for)
-from repro.experiment.store import (CHUNK_COLUMNS, DEFAULT_CHUNK_ROWS,
-                                    chunk_file, open_table_chunks,
-                                    write_table_chunks)
+from repro.experiment.store import (CHUNK_COLUMNS, chunk_file,
+                                    open_table_chunks, write_table_chunks)
 from repro.faults import FaultInjector, FaultPlan
 from repro.scanners.base import (ConstPackets, Scanner, TemporalKind,
                                  UniformPackets)
@@ -327,9 +326,6 @@ class ShardTask:
     #: snapshot; the coordinator turns this off when it has no recorder
     #: itself, sparing the workers the recording overhead.
     record_obs: bool = True
-    #: rows per spill chunk — the coordinator's merge window granularity
-    #: and the unit of lazy loading on its side.
-    chunk_rows: int = DEFAULT_CHUNK_ROWS
     #: directory for per-shard telemetry spools (heartbeat/metric-delta
     #: events + the span-tree dump the coordinator merges into one
     #: Chrome trace); ``None`` disables spooling.
@@ -453,8 +449,7 @@ def _run_shard_body(task: ShardTask, stage, stage_wall: dict,
                 table = telescope.capture.table()
                 chunk_dir = Path(task.spill_dir) / \
                     f"shard{task.shard:03d}" / name
-                manifest = write_table_chunks(table, chunk_dir,
-                                              task.chunk_rows)
+                manifest = write_table_chunks(table, chunk_dir)
                 segments[name] = {"dir": str(chunk_dir),
                                   "manifest": manifest,
                                   "rows": len(table)}

@@ -4,7 +4,7 @@ Saves a :class:`PacketCorpus` to a directory and loads it back, so
 analyses can run on a previously simulated (or externally produced)
 capture without re-running the simulation.
 
-Format version 2 (the default, DESIGN §9) is chunked and memory-mapped:
+The store (format version 2, DESIGN §9) is chunked and memory-mapped:
 
 - ``meta.json`` — config, announcement schedule, AS registry records,
   RDNS entries, telescope prefixes, coverage gaps, and the chunk
@@ -15,14 +15,13 @@ Format version 2 (the default, DESIGN §9) is chunked and memory-mapped:
   :mod:`numpy.lib.format`, so they open with ``mmap_mode="r"`` —
   zero-copy across the shard pool and analysis worker processes.
 
-Loading a v2 corpus is lazy: ``load_corpus`` reads only ``meta.json``
-and hands each telescope a
-:class:`~repro.core.columnar.ChunkedPacketTable`. A chunk's sha256 is
-verified on first touch, and time-range queries (phase slicing) open
-only the chunks whose footprint intersects the query — *predicate
-pushdown*. Version 1 (one monolithic ``packets_<T>.npz`` per telescope)
-loads eagerly exactly as before; ``migrate_store`` rewrites a v1
-directory as v2.
+Loading is lazy: ``load_corpus`` reads only ``meta.json`` and hands each
+telescope a :class:`~repro.core.columnar.ChunkedPacketTable`. A chunk's
+sha256 is verified on first touch, and time-range queries (phase
+slicing) open only the chunks whose footprint intersects the query —
+*predicate pushdown*. A store of any other format version is refused:
+a store is derived, deterministic data, so an old one is rebuilt from
+the config its ``meta.json`` records and saved again.
 
 Every on-disk failure (missing file, truncation, bit flips, unreadable
 data) surfaces as :class:`repro.errors.StoreError` carrying the path and
@@ -30,15 +29,13 @@ the failed check. With ``strict=False`` a bad chunk is quarantined
 instead of raising: it loads empty, its slice of the timeline is
 recorded as a coverage gap, and a :class:`DegradationWarning` is emitted
 — sibling chunks stay readable, so one flipped byte costs one chunk of
-data, not the telescope (PR 5's quarantine semantics at chunk
-granularity).
+data, not the telescope.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-import zipfile
 from pathlib import Path
 
 import numpy as np
@@ -58,10 +55,9 @@ from repro.scanners.registry import ASRecord, ASRegistry, NetworkType
 
 FORMAT_VERSION = 2
 
-#: Default rows per chunk of the v2 layout. Small enough that a
-#: phase-sliced query at paper scale opens a fraction of the corpus,
-#: large enough that per-chunk overhead (11 files, one sha256) stays
-#: negligible.
+#: Default rows per chunk. Small enough that a phase-sliced query at
+#: paper scale opens a fraction of the corpus, large enough that
+#: per-chunk overhead (11 files, one sha256) stays negligible.
 DEFAULT_CHUNK_ROWS = 65536
 
 #: Canonical column order of one chunk — file naming, hashing, and
@@ -73,23 +69,19 @@ CHUNK_COLUMNS = ("time", "src_hi", "src_lo", "dst_hi", "dst_lo", "proto",
 _HASH_BLOCK = 1 << 20
 
 
-def _sha256_file(path: Path, hasher=None) -> str:
-    """Streamed sha256 of a file in fixed-size blocks.
+def _hash_file(path: Path, hasher) -> None:
+    """Feed a file into ``hasher`` in fixed-size blocks.
 
     Never holds more than one block in memory, unlike
-    ``Path.read_bytes()`` which doubles the segment's footprint while
+    ``Path.read_bytes()`` which doubles the chunk's footprint while
     hashing.
     """
-    own = hasher is None
-    if own:
-        hasher = hashlib.sha256()
     with open(path, "rb") as fh:
         while True:
             block = fh.read(_HASH_BLOCK)
             if not block:
                 break
             hasher.update(block)
-    return hasher.hexdigest() if own else ""
 
 
 class _HashingWriter:
@@ -115,7 +107,7 @@ def _gauge_inc(name: str, amount: float, **labels) -> None:
         recorder.metrics.gauge(name, **labels).inc(amount)
 
 
-# -- v2 chunk writer -------------------------------------------------------
+# -- chunk writer ----------------------------------------------------------
 
 
 def _chunk_arrays(table: PacketTable) -> dict[str, np.ndarray]:
@@ -169,7 +161,7 @@ def write_table_chunks(table: PacketTable, directory: str | Path,
     return manifest
 
 
-# -- v2 chunk reader -------------------------------------------------------
+# -- chunk reader ----------------------------------------------------------
 
 
 class _ChunkReader:
@@ -212,7 +204,7 @@ class _ChunkReader:
             if not path.exists():
                 raise StoreError(f"missing corpus chunk file {path}",
                                  path=path, check="exists")
-            _sha256_file(path, hasher)
+            _hash_file(path, hasher)
         actual = hasher.hexdigest()
         expected = self.entry["sha256"]
         obs.add("store.chunks_verified_total", telescope=self.telescope)
@@ -281,8 +273,7 @@ def open_table_chunks(directory: str | Path, manifest: list[dict],
     owns the slice of the timeline from its first timestamp to the next
     chunk's (the first chunk owns from 0, the last up to ``duration``),
     so quarantining it records exactly that window as a coverage gap and
-    quarantining *every* chunk covers the whole run — matching v1's
-    whole-telescope semantics when a telescope has one chunk.
+    quarantining *every* chunk covers the whole run.
     """
     directory = Path(directory)
     if gaps is None:
@@ -308,36 +299,17 @@ def open_table_chunks(directory: str | Path, manifest: list[dict],
 
 
 def save_corpus(corpus: PacketCorpus, path: str | Path,
-                format_version: int = FORMAT_VERSION,
                 chunk_rows: int = DEFAULT_CHUNK_ROWS) -> Path:
-    """Write ``corpus`` to directory ``path`` (created if missing).
-
-    ``format_version=2`` (the default) writes the chunked mmap layout;
-    ``format_version=1`` writes the legacy monolithic-npz layout — kept
-    for differential tests and downgrade interop.
-    """
-    if format_version not in (1, 2):
-        raise StoreError(f"cannot write corpus format {format_version!r}",
-                         path=Path(path), check="format_version")
+    """Write ``corpus`` to directory ``path`` (created if missing) as
+    the chunked mmap store, ``chunk_rows`` rows per chunk."""
     directory = Path(path)
     directory.mkdir(parents=True, exist_ok=True)
 
-    checksums: dict[str, str] = {}
-    store: dict | None = None
-    if format_version == 1:
+    with obs.span("store.write_chunks", chunk_rows=chunk_rows):
+        store = {"chunk_rows": chunk_rows, "chunks": {}}
         for telescope in TELESCOPE_NAMES:
-            # the columnar table IS the on-disk layout: its arrays are
-            # written directly, with no per-packet Python loop
-            checksums[telescope] = save_segment(
-                corpus.table(telescope),
-                directory / f"packets_{telescope}.npz")
-    else:
-        with obs.span("store.write_chunks", chunk_rows=chunk_rows):
-            store = {"chunk_rows": chunk_rows, "chunks": {}}
-            for telescope in TELESCOPE_NAMES:
-                store["chunks"][telescope] = write_table_chunks(
-                    corpus.table(telescope), directory / telescope,
-                    chunk_rows)
+            store["chunks"][telescope] = write_table_chunks(
+                corpus.table(telescope), directory / telescope, chunk_rows)
 
     # the resolver only answers point queries, so RDNS entries are
     # persisted for every observed source address — one batched pass
@@ -349,7 +321,7 @@ def save_corpus(corpus: PacketCorpus, path: str | Path,
             for src, name in corpus.rdns_batch(sorted(sources)).items()}
 
     meta = {
-        "format_version": format_version,
+        "format_version": FORMAT_VERSION,
         "config": {
             "seed": corpus.config.seed,
             "scale": corpus.config.scale,
@@ -392,11 +364,8 @@ def save_corpus(corpus: PacketCorpus, path: str | Path,
         "coverage_gaps": {
             name: [[start, end] for start, end in windows]
             for name, windows in corpus.coverage_gaps.items()},
+        "store": store,
     }
-    if format_version == 1:
-        meta["checksums"] = checksums
-    else:
-        meta["store"] = store
     (directory / "meta.json").write_text(json.dumps(meta, indent=1))
     return directory
 
@@ -405,38 +374,24 @@ def load_corpus(path: str | Path, strict: bool = True,
                 verify: str = "lazy") -> PacketCorpus:
     """Load a corpus previously written by :func:`save_corpus`.
 
-    A v1 corpus loads eagerly, verifying every segment before use. A v2
-    corpus loads *lazily*: only ``meta.json`` is read here, and each
-    chunk's sha256 is checked on first touch (``verify="eager"``
-    pre-verifies every chunk's hash up front without mapping any data).
+    Loading is *lazy*: only ``meta.json`` is read here, and each chunk's
+    sha256 is checked on first touch (``verify="eager"`` pre-verifies
+    every chunk's hash up front without mapping any data).
 
     With ``strict=True`` (the default) a missing, truncated, or
     corrupted file raises :class:`StoreError` naming the path and the
-    failed check — at load time for v1/eager, at first touch for lazy
-    v2. With ``strict=False`` the bad unit is quarantined instead: a v1
-    segment loads its telescope empty with a whole-run coverage gap; a
-    v2 chunk loads empty with a gap covering only its slice of the
-    timeline, leaving sibling chunks readable.
+    failed check, at first touch (or at load time with
+    ``verify="eager"``). With ``strict=False`` the bad chunk is
+    quarantined instead: it loads empty with a gap covering only its
+    slice of the timeline, leaving sibling chunks readable. A store of
+    another format version raises ``StoreError(check="format_version")``
+    naming the seed and scale to rebuild it from.
     """
     if verify not in ("lazy", "eager"):
         raise StoreError(f"unknown verify mode {verify!r}",
                          path=Path(path), check="verify")
     directory = Path(path)
-    meta_path = directory / "meta.json"
-    if not meta_path.exists():
-        raise StoreError(f"no corpus at {directory} (missing meta.json)",
-                         path=meta_path, check="exists")
-    try:
-        meta = json.loads(meta_path.read_text())
-    except (json.JSONDecodeError, OSError) as exc:
-        raise StoreError(f"corpus metadata {meta_path} is unreadable: {exc}",
-                         path=meta_path, check="json") from exc
-    version = meta.get("format_version")
-    if version not in (1, 2):
-        raise StoreError(
-            f"unsupported corpus format {version!r}",
-            path=meta_path, check="format_version")
-
+    meta = _read_meta(directory)
     config = ExperimentConfig(**meta["config"])
     schedule = [
         AnnouncementCycle(
@@ -468,12 +423,8 @@ def load_corpus(path: str | Path, strict: bool = True,
         name: tuple((float(start), float(end)) for start, end in windows)
         for name, windows in meta.get("coverage_gaps", {}).items()}
 
-    if version == 1:
-        tables = _load_tables_v1(directory, meta, config, strict,
-                                 coverage_gaps)
-    else:
-        tables = _load_tables_v2(directory, meta, config, strict,
-                                 coverage_gaps, verify)
+    tables = _load_tables(directory, meta, config, strict, coverage_gaps,
+                          verify)
 
     return PacketCorpus(
         config=config,
@@ -490,53 +441,60 @@ def load_corpus(path: str | Path, strict: bool = True,
         coverage_gaps=coverage_gaps)
 
 
-def _load_tables_v1(directory: Path, meta: dict, config: ExperimentConfig,
-                    strict: bool,
-                    coverage_gaps: dict) -> dict[str, PacketTable]:
-    """Eager verified load of the legacy monolithic-npz layout."""
-    checksums = meta.get("checksums", {})
-    tables: dict[str, PacketTable] = {}
-    for telescope in TELESCOPE_NAMES:
-        segment = directory / f"packets_{telescope}.npz"
-        try:
-            tables[telescope] = _load_segment(
-                segment, checksums.get(telescope))
-        except StoreError as exc:
-            if strict:
-                raise
-            # quarantine: the telescope loads empty and its whole run
-            # becomes a coverage gap so analyses normalize, not crash
-            obs.add("store.segments_quarantined_total", telescope=telescope)
-            obs.event("store.quarantine", unit="segment",
-                      telescope=telescope, segment=segment.name,
-                      check=exc.check)
-            warn_degraded(
-                f"corpus segment {segment.name} quarantined "
-                f"(failed {exc.check} check): {telescope} loads empty",
-                artifact="load_corpus", telescope=telescope,
-                reason=exc.check)
-            tables[telescope] = PacketTable.empty()
-            coverage_gaps[telescope] = ((0.0, config.duration),)
-    return tables
+def _read_meta(directory: Path) -> dict:
+    """The parsed ``meta.json`` of a current-format store.
+
+    Raises :class:`StoreError` if it is missing or unreadable, records
+    another format version (the message names the seed and scale to
+    rebuild the corpus from), or lacks its chunk manifest.
+    """
+    meta_path = directory / "meta.json"
+    if not meta_path.exists():
+        raise StoreError(f"no corpus at {directory} (missing meta.json)",
+                         path=meta_path, check="exists")
+    try:
+        meta = json.loads(meta_path.read_text())
+    except (json.JSONDecodeError, OSError) as exc:
+        raise StoreError(f"corpus metadata {meta_path} is unreadable: {exc}",
+                         path=meta_path, check="json") from exc
+    version = meta.get("format_version")
+    if version != FORMAT_VERSION:
+        config = meta.get("config") or {}
+        raise StoreError(
+            f"corpus at {directory} has store format {version!r}, but "
+            f"only format {FORMAT_VERSION} can be read; rebuild the "
+            f"corpus from the config in {meta_path} (seed "
+            f"{config.get('seed', '?')}, scale {config.get('scale', '?')}) "
+            "and save it again", path=meta_path, check="format_version")
+    store = meta.get("store")
+    if not isinstance(store, dict) or "chunks" not in store:
+        raise StoreError("corpus metadata is missing its chunk manifest",
+                         path=meta_path, check="manifest")
+    return meta
 
 
-def _load_tables_v2(directory: Path, meta: dict, config: ExperimentConfig,
-                    strict: bool, coverage_gaps: dict,
-                    verify: str) -> dict[str, ChunkedPacketTable]:
-    """Lazy chunk-manifest load of the v2 layout.
+def chunk_paths(directory: str | Path, telescope: str,
+                column: str) -> list[Path]:
+    """The files of one column of a telescope's chunks, in manifest
+    order."""
+    directory = Path(directory)
+    manifest = _read_meta(directory)["store"]["chunks"].get(telescope, [])
+    return [chunk_file(directory / telescope, entry["name"], column)
+            for entry in manifest]
+
+
+def _load_tables(directory: Path, meta: dict, config: ExperimentConfig,
+                 strict: bool, coverage_gaps: dict,
+                 verify: str) -> dict[str, ChunkedPacketTable]:
+    """Lazy chunk-manifest load of every telescope.
 
     ``coverage_gaps`` is the *live* dict handed to the corpus: a chunk
     quarantined on a later touch merges its gap window in place, so
     gap-aware analyses see it as soon as the quarantine happens.
     """
-    store = meta.get("store")
-    if not isinstance(store, dict) or "chunks" not in store:
-        raise StoreError("v2 corpus metadata is missing its chunk "
-                         "manifest", path=directory / "meta.json",
-                         check="manifest")
     tables: dict[str, ChunkedPacketTable] = {}
     for telescope in TELESCOPE_NAMES:
-        manifest = store["chunks"].get(telescope, [])
+        manifest = meta["store"]["chunks"].get(telescope, [])
         table = open_table_chunks(
             directory / telescope, manifest, telescope=telescope,
             strict=strict, gaps=coverage_gaps, duration=config.duration)
@@ -555,94 +513,15 @@ def _load_tables_v2(directory: Path, meta: dict, config: ExperimentConfig,
     return tables
 
 
-def migrate_store(src: str | Path, dst: str | Path,
-                  chunk_rows: int = DEFAULT_CHUNK_ROWS) -> Path:
-    """Rewrite a saved corpus (v1 or v2) as a v2 chunked store at ``dst``.
-
-    Loads strictly — a corrupted source fails the migration rather than
-    silently shrinking the output — and returns the destination path.
-    """
-    src_dir, dst_dir = Path(src), Path(dst)
-    if src_dir.resolve() == dst_dir.resolve():
-        raise StoreError("migration source and destination are the same "
-                         f"directory {src_dir}", path=dst_dir,
-                         check="destination")
-    corpus = load_corpus(src_dir, strict=True)
-    return save_corpus(corpus, dst_dir, format_version=2,
-                       chunk_rows=chunk_rows)
-
-
-# -- v1 segment helpers (legacy layout + interop) --------------------------
-
-
-def save_segment(table: PacketTable, path: Path,
-                 compress: bool = True) -> str:
-    """Write one ``packets_*.npz`` segment; returns its sha256 digest.
-
-    The key layout is the store's canonical v1 one, so anything written
-    here loads back through :func:`_load_segment` with full checksum
-    verification. ``compress=False`` trades disk for speed. The digest
-    is streamed in fixed-size blocks — the segment is never held in
-    memory a second time just to hash it.
-    """
-    payload_offsets, blob = table.payload_blob()
-    saver = np.savez_compressed if compress else np.savez
-    saver(path,
-          time=table.time, src_hi=table.src_hi, src_lo=table.src_lo,
-          dst_hi=table.dst_hi, dst_lo=table.dst_lo,
-          proto=table.protocol, port=table.dst_port,
-          asn=table.src_asn, scanner=table.scanner_id,
-          payload_offsets=payload_offsets, payload_blob=blob)
-    return _sha256_file(Path(path))
-
-
-def _load_segment(path: Path, expected_sha: str | None) -> PacketTable:
-    """Read one verified ``packets_<T>.npz`` segment.
-
-    All on-disk failure modes surface as :class:`StoreError` — checksum
-    mismatch before any decompression, then any numpy/zip/OS exception
-    from actually reading the arrays (truncated files, flipped bytes
-    that survive the missing-checksum legacy path, bad members).
-    """
-    if not path.exists():
-        raise StoreError(f"missing corpus segment {path}",
-                         path=path, check="exists")
-    if expected_sha is not None:
-        actual = _sha256_file(path)
-        if actual != expected_sha:
-            raise StoreError(
-                f"corpus segment {path} failed its sha256 check "
-                f"(stored {expected_sha[:12]}…, found {actual[:12]}…)",
-                path=path, check="sha256")
-    try:
-        with np.load(path) as data:
-            # materialize every column once — indexing the lazy npz
-            # members re-decompresses the whole array per access.
-            # Columns go straight into a PacketTable; Packet objects are
-            # only built if an analysis asks for them.
-            return PacketTable.from_blob_arrays(
-                time=data["time"],
-                src_hi=data["src_hi"], src_lo=data["src_lo"],
-                dst_hi=data["dst_hi"], dst_lo=data["dst_lo"],
-                protocol=data["proto"], dst_port=data["port"],
-                src_asn=data["asn"], scanner_id=data["scanner"],
-                payload_offsets=data["payload_offsets"],
-                payload_blob=data["payload_blob"])
-    except (OSError, ValueError, KeyError, EOFError,
-            zipfile.BadZipFile) as exc:
-        raise StoreError(f"corpus segment {path} is unreadable: {exc}",
-                         path=path, check="read") from exc
-
-
 def corpus_digest(corpus: PacketCorpus) -> str:
     """Content hash of the packet columns of all four telescopes.
 
     Hashes the time-sorted column arrays directly rather than the
-    on-disk files — compressed containers embed timestamps, and the v2
-    chunk layout depends on ``chunk_rows`` — so two corpora with the
-    same packets always share a digest regardless of how (or whether)
-    they were stored. Contiguous columns are hashed through their buffer
-    directly; only a genuinely non-contiguous column pays a copy.
+    on-disk files — the chunk layout depends on ``chunk_rows`` — so two
+    corpora with the same packets always share a digest regardless of
+    how (or whether) they were stored. Contiguous columns are hashed
+    through their buffer directly; only a genuinely non-contiguous
+    column pays a copy.
     """
     digest = hashlib.sha256()
     for telescope in TELESCOPE_NAMES:

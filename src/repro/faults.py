@@ -19,8 +19,8 @@ built deployment:
   dedicated named seed, so enabling loss never perturbs any other stream
   and the decision for a packet is independent of routing order (the
   sharded builder relies on this);
-- **store corruption** — named corpus segments are bit-flipped after a
-  save, for exercising the loader's checksum quarantine path;
+- **store corruption** — the chunks of named telescopes are bit-flipped
+  after a save, for exercising the loader's checksum quarantine path;
 - **process faults** — a shard worker SIGKILLs or hangs itself at a
   given fraction of simulated time, for chaos-testing the shard
   supervisor's retry/timeout machinery (DESIGN §11). Arming a process
@@ -46,7 +46,7 @@ from pathlib import Path
 import numpy as np
 
 from repro import obs
-from repro.errors import FaultError
+from repro.errors import FaultError, StoreError
 
 #: Valid blackout / corruption targets.
 TELESCOPE_NAMES = ("T1", "T2", "T3", "T4")
@@ -107,7 +107,7 @@ class FaultPlan:
     flaps: tuple[BgpFlap, ...] = ()
     #: probability that a routed packet is lost in flight ([0, 1)).
     loss_rate: float = 0.0
-    #: corpus segments (telescope names) to corrupt after a save.
+    #: telescopes whose stored chunks to corrupt after a save.
     corrupt_segments: tuple[str, ...] = ()
     #: worker-process faults (sharded runs only; ignored in-coordinator).
     process_faults: tuple[ProcessFault, ...] = ()
@@ -373,24 +373,21 @@ class FaultInjector:
     def corrupt_store(self, directory: str | Path) -> list[Path]:
         """Corrupt the planned telescopes of a saved corpus (bit flips).
 
-        On a v1 store, flips one byte in the middle third of the
-        telescope's ``packets_<T>.npz`` — enough to fail the content
-        checksum without touching the zip directory, which is how silent
-        on-disk corruption usually presents. On a v2 chunked store, the
-        same flip is applied to every ``.time.npy`` chunk file of the
-        telescope, so a lenient load quarantines all of its chunks (the
-        whole-telescope outcome the v1 fault produced, now exercised at
-        chunk granularity). Offsets are seed-determined. Returns the
-        corrupted paths.
+        Flips one byte in the middle third of every ``time`` column file
+        of the telescope's chunks, in manifest order — enough to fail
+        each chunk's content checksum, which is how silent on-disk
+        corruption usually presents, so a lenient load quarantines all
+        of the telescope's chunks. Offsets are seed-determined. Returns
+        the corrupted paths.
         """
-        directory = Path(directory)
+        from repro.experiment.store import chunk_paths
         rng = np.random.default_rng(self.seed ^ 0xFA17)
         corrupted: list[Path] = []
 
         def flip(path: Path) -> None:
             blob = bytearray(path.read_bytes())
             if not blob:
-                raise FaultError(f"segment {path} is empty")
+                raise FaultError(f"chunk file {path} is empty")
             lo, hi = len(blob) // 3, max(len(blob) // 3 + 1,
                                          2 * len(blob) // 3)
             offset = int(rng.integers(lo, hi))
@@ -401,15 +398,13 @@ class FaultInjector:
             corrupted.append(path)
 
         for name in self.plan.corrupt_segments:
-            npz = directory / f"packets_{name}.npz"
-            chunk_files = sorted((directory / name).glob("chunk_*.time.npy"))
-            if npz.exists():
-                flip(npz)
-            elif chunk_files:
-                for path in chunk_files:
-                    flip(path)
-            else:
-                raise FaultError(f"no segment to corrupt at {npz} "
-                                 f"(and no v2 chunks under "
-                                 f"{directory / name})")
+            try:
+                paths = chunk_paths(directory, name, "time")
+            except StoreError as exc:
+                raise FaultError(f"no store to corrupt: {exc}") from exc
+            if not paths:
+                raise FaultError(f"no chunks of {name} to corrupt in "
+                                 f"{directory}")
+            for path in paths:
+                flip(path)
         return corrupted

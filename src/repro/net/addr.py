@@ -69,39 +69,11 @@ def nibbles_of(value: int) -> tuple[int, ...]:
     return tuple((value >> shift) & 0xF for shift in range(124, -1, -4))
 
 
-def from_nibbles(nibbles: tuple[int, ...] | list[int]) -> int:
-    """Inverse of :func:`nibbles_of`."""
-    if len(nibbles) != 32:
-        raise AddressError(f"expected 32 nibbles, got {len(nibbles)}")
-    value = 0
-    for nib in nibbles:
-        if not 0 <= nib <= 0xF:
-            raise AddressError(f"nibble out of range: {nib}")
-        value = (value << 4) | nib
-    return value
-
-
 def iid_of(value: int) -> int:
     """Extract the 64-bit interface identifier (low half) of an address."""
     if not 0 <= value <= MAX_ADDR:
         raise AddressError(f"address out of range: {value}")
     return value & IID_MASK
-
-
-def subnet_bits(value: int, prefix_len: int, subnet_len: int = 64) -> int:
-    """Bits between the routed prefix and the IID (the 'subnet' part).
-
-    For a telescope announced as a ``/prefix_len``, the paper analyzes the
-    bits ``prefix_len .. subnet_len`` separately from the IID (Appendix B).
-    """
-    if not 0 <= prefix_len <= subnet_len <= ADDR_BITS:
-        raise AddressError(
-            f"invalid section: prefix_len={prefix_len}, subnet_len={subnet_len}"
-        )
-    width = subnet_len - prefix_len
-    if width == 0:
-        return 0
-    return (value >> (ADDR_BITS - subnet_len)) & ((1 << width) - 1)
 
 
 def random_bits(rng, bits: int) -> int:
@@ -119,9 +91,3 @@ def random_bits(rng, bits: int) -> int:
         value = (value << chunk) | int(rng.integers(0, 1 << chunk))
         remaining -= chunk
     return value
-
-
-def embedded_ipv4(value: int) -> str:
-    """Render the low 32 bits as a dotted quad (for IPv4-embedded IIDs)."""
-    low = value & 0xFFFFFFFF
-    return ".".join(str((low >> shift) & 0xFF) for shift in (24, 16, 8, 0))

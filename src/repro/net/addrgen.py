@@ -8,8 +8,6 @@ EUI-64 and ISATAP patterns.
 
 from __future__ import annotations
 
-from typing import Iterator
-
 import numpy as np
 
 from repro.errors import PrefixError
@@ -29,11 +27,6 @@ def low_byte_address(prefix: Prefix, host: int = 1) -> int:
     if not 1 <= host <= 0xFFFF:
         raise PrefixError(f"low-byte host out of range: {host}")
     return prefix.network | host
-
-
-def subnet_router_anycast(prefix: Prefix) -> int:
-    """The Subnet-Router anycast (all-zero IID) address of ``prefix``."""
-    return prefix.network
 
 
 def random_iid_address(prefix: Prefix, rng: np.random.Generator,
@@ -100,26 +93,6 @@ def wordy_address(prefix: Prefix, rng: np.random.Generator,
     for _ in range(repeats):
         iid = (iid << 16) | word
     return subnet.network | iid
-
-
-def iterate_low_bytes(prefix: Prefix, subnet_len: int = 64,
-                      hosts: tuple[int, ...] = (1,),
-                      max_subnets: int | None = None) -> Iterator[int]:
-    """Walk subnets of ``prefix`` in order, yielding low-byte targets.
-
-    This is the classic structured traversal visible in the paper's
-    Figure 13: subnets iterate lexicographically, each probed at ``::h``.
-    """
-    if subnet_len < prefix.length or subnet_len > ADDR_BITS:
-        raise PrefixError(f"invalid subnet length {subnet_len} for {prefix}")
-    count = 1 << (subnet_len - prefix.length)
-    if max_subnets is not None:
-        count = min(count, max_subnets)
-    step = 1 << (ADDR_BITS - subnet_len)
-    for index in range(count):
-        base = prefix.network + index * step
-        for host in hosts:
-            yield base | host
 
 
 def structured_sweep(prefix: Prefix, rng: np.random.Generator,

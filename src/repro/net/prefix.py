@@ -212,9 +212,3 @@ class PrefixSet:
         """Most-specific member containing ``addr``, or ``None``."""
         hits = self.covering(addr)
         return hits[-1] if hits else None
-
-    def most_specific(self) -> Prefix | None:
-        """The longest member (ties broken by lowest network), or ``None``."""
-        if not self._prefixes:
-            return None
-        return max(self._prefixes, key=lambda p: (p.length, -p.network))

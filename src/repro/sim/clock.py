@@ -46,12 +46,6 @@ class SimClock:
             )
         self._now = float(t)
 
-    def advance_by(self, dt: float) -> None:
-        """Move the clock forward by ``dt`` seconds (must be >= 0)."""
-        if dt < 0:
-            raise SimulationError(f"cannot advance clock by negative dt={dt}")
-        self._now += float(dt)
-
     # -- calendar helpers -------------------------------------------------
 
     @property
@@ -76,11 +70,6 @@ def day_of(t: float) -> int:
 def week_of(t: float) -> int:
     """Zero-based week index containing timestamp ``t``."""
     return int(t // WEEK)
-
-
-def hour_of(t: float) -> int:
-    """Zero-based hour index containing timestamp ``t``."""
-    return int(t // HOUR)
 
 
 def format_duration(seconds: float) -> str:

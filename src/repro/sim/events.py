@@ -84,11 +84,6 @@ class EventQueue:
             self.high_water = self._live
         return event
 
-    def peek_time(self) -> float | None:
-        """Firing time of the next live event, or ``None`` if empty."""
-        self._drop_cancelled()
-        return self._heap[0][0] if self._heap else None
-
     def pop(self) -> Event | None:
         """Remove and return the next live event, or ``None`` if empty."""
         self._drop_cancelled()

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.analysis import figures
+from repro.analysis.degrade import DegradationWarning
 from repro.core.temporal import TemporalClass
 from repro.errors import AnalysisError
 
@@ -148,3 +149,60 @@ class TestFig17:
                   if section == "subnet" and test == "frequency"]
         if iid and subnet:
             assert np.mean(iid) >= np.mean(subnet)
+
+
+class TestDegradedFigures:
+    """fig4 and fig13 degrade, rather than raise, when coverage gaps
+    have emptied the corpus, and raise when nothing explains it."""
+
+    @pytest.fixture(scope="class")
+    def dark_analysis(self, tmp_path_factory, tiny_corpus):
+        from repro.analysis.context import CorpusAnalysis
+        from repro.experiment.store import load_corpus, save_corpus
+        from repro.faults import FaultInjector, FaultPlan
+        path = tmp_path_factory.mktemp("dark") / "corpus"
+        save_corpus(tiny_corpus, path)
+        FaultInjector(FaultPlan(
+            corrupt_segments=("T1", "T2", "T3", "T4"))).corrupt_store(path)
+        with pytest.warns(DegradationWarning):
+            corpus = load_corpus(path, strict=False)
+            for telescope in corpus.telescopes():
+                corpus.table(telescope).materialize()
+        return CorpusAnalysis(corpus)
+
+    @pytest.fixture(scope="class")
+    def empty_analysis(self, tiny_corpus):
+        import dataclasses
+        from repro.analysis.context import CorpusAnalysis
+        from repro.core.columnar import PacketTable
+        empty = dataclasses.replace(
+            tiny_corpus, packets_by_telescope={}, coverage_gaps={},
+            tables_by_telescope={t: PacketTable.empty()
+                                 for t in tiny_corpus.telescopes()},
+            _phase_cache={}, _phase_table_cache={})
+        return CorpusAnalysis(empty)
+
+    def test_fig4_zero_series_when_every_capture_is_dark(self,
+                                                         dark_analysis):
+        assert dark_analysis.has_gaps()
+        with pytest.warns(DegradationWarning) as caught:
+            result = figures.fig4(dark_analysis)
+        assert caught[0].message.artifact == "fig4"
+        assert result.weeks
+        assert result.series
+        for values in result.series.values():
+            assert values == [0.0] * len(result.weeks)
+
+    def test_fig13_empty_matrix_when_every_capture_is_dark(self,
+                                                          dark_analysis):
+        with pytest.warns(DegradationWarning) as caught:
+            matrix = figures.fig13(dark_analysis)
+        assert caught[0].message.artifact == "fig13"
+        assert matrix.nibbles.shape == (0, 32)
+
+    def test_empty_corpus_without_gaps_raises(self, empty_analysis):
+        assert not empty_analysis.has_gaps()
+        with pytest.raises(AnalysisError):
+            figures.fig4(empty_analysis)
+        with pytest.raises(AnalysisError):
+            figures.fig13(empty_analysis)

@@ -138,3 +138,21 @@ class TestErrorHandling:
     def test_invalid_scale_clean_error(self, capsys):
         assert main(["run", "--scale", "-1"]) == 2
         assert "scale must be > 0" in capsys.readouterr().err
+
+    def test_old_store_format_clean_error(self, capsys, tmp_path,
+                                          tiny_corpus):
+        import json
+        from repro.experiment.store import save_corpus
+        path = tmp_path / "corpus"
+        save_corpus(tiny_corpus, path)
+        meta_path = path / "meta.json"
+        meta = json.loads(meta_path.read_text())
+        meta["format_version"] = 1
+        meta_path.write_text(json.dumps(meta))
+        assert main(["load", str(path)]) == 2
+        err = capsys.readouterr().err
+        errors = [line for line in err.splitlines()
+                  if line.startswith("repro: error:")]
+        assert len(errors) == 1
+        assert f"seed {tiny_corpus.config.seed}" in errors[0]
+        assert "Traceback" not in err

@@ -4,7 +4,7 @@ import pytest
 
 from repro.errors import ExperimentError
 from repro.experiment.config import ExperimentConfig
-from repro.experiment.phases import Phase, phase_bounds, week_index
+from repro.experiment.phases import Phase, phase_bounds
 from repro.sim.clock import WEEK
 
 
@@ -38,9 +38,3 @@ class TestPhases:
         assert phase_bounds(config, Phase.INITIAL) == (0.0, 12 * WEEK)
         assert phase_bounds(config, Phase.SPLIT) == (12 * WEEK, 44 * WEEK)
         assert phase_bounds(config, Phase.FULL) == (0.0, 44 * WEEK)
-
-    def test_week_index(self):
-        assert week_index(0.0) == 0
-        assert week_index(WEEK) == 1
-        with pytest.raises(ExperimentError):
-            week_index(-1.0)

@@ -1,11 +1,15 @@
 """Tests for repro.experiment.store (corpus persistence)."""
 
+import hashlib
+import json
+
 import pytest
 
 from repro.analysis.context import CorpusAnalysis
 from repro.analysis.tables import table2, table7
 from repro.errors import StoreError
-from repro.experiment.store import load_corpus, save_corpus
+from repro.experiment.store import (CHUNK_COLUMNS, chunk_file, chunk_paths,
+                                    load_corpus, save_corpus)
 
 
 @pytest.fixture(scope="module")
@@ -86,9 +90,21 @@ class TestErrors:
         with pytest.raises(StoreError):
             load_corpus(path)
 
-    def test_bad_write_format_version(self, tmp_path, tiny_corpus):
-        with pytest.raises(StoreError):
-            save_corpus(tiny_corpus, tmp_path / "run", format_version=3)
+    def test_old_format_names_config_to_rebuild(self, tmp_path,
+                                                tiny_corpus):
+        path = tmp_path / "run"
+        save_corpus(tiny_corpus, path)
+        meta_path = path / "meta.json"
+        meta = json.loads(meta_path.read_text())
+        meta["format_version"] = 1
+        meta_path.write_text(json.dumps(meta))
+        with pytest.raises(StoreError) as exc_info:
+            load_corpus(path)
+        assert exc_info.value.check == "format_version"
+        message = str(exc_info.value)
+        assert f"seed {tiny_corpus.config.seed}" in message
+        assert f"scale {tiny_corpus.config.scale}" in message
+        assert "rebuild" in message
 
     def test_bad_verify_mode(self, tmp_path, tiny_corpus):
         path = tmp_path / "run"
@@ -98,74 +114,93 @@ class TestErrors:
 
 
 class TestStoreIntegrity:
-    """Truncated and bit-flipped v1 segments surface as StoreError.
+    """Damaged chunk files surface as StoreError, not a traceback.
 
-    These pin the legacy monolithic-npz layout's eager whole-segment
-    semantics; the v2 chunk-granularity equivalents live in
-    ``tests/test_store_v2.py``.
+    These use the default chunk size; quarantine of one chunk among
+    many siblings is covered in ``tests/test_store_v2.py``
+    (``TestChunkQuarantine``).
     """
 
     @pytest.fixture()
     def saved(self, tmp_path, tiny_corpus):
         path = tmp_path / "run"
-        save_corpus(tiny_corpus, path, format_version=1)
+        save_corpus(tiny_corpus, path)
         return path
 
+    @staticmethod
+    def _truncate(path, keep):
+        blob = path.read_bytes()
+        path.write_bytes(blob[:int(len(blob) * keep)])
+
     def test_truncated_segment(self, saved):
-        segment = saved / "packets_T3.npz"
-        blob = segment.read_bytes()
-        segment.write_bytes(blob[:len(blob) // 2])
+        # one sha256 covers all of a chunk's column files; a failed
+        # check names the chunk's time file
+        victim = chunk_paths(saved, "T3", "time")[0]
+        self._truncate(victim, 1 / 2)
+        corpus = load_corpus(saved)
         with pytest.raises(StoreError) as exc_info:
-            load_corpus(saved)
+            corpus.table("T3").materialize()
         assert exc_info.value.check == "sha256"
-        assert exc_info.value.path == segment
+        assert exc_info.value.path == victim
 
     def test_bit_flipped_segment(self, saved):
-        segment = saved / "packets_T1.npz"
-        blob = bytearray(segment.read_bytes())
+        victim = chunk_paths(saved, "T1", "time")[0]
+        blob = bytearray(victim.read_bytes())
         blob[len(blob) // 2] ^= 0xFF
-        segment.write_bytes(bytes(blob))
+        victim.write_bytes(bytes(blob))
+        corpus = load_corpus(saved)
         with pytest.raises(StoreError) as exc_info:
-            load_corpus(saved)
+            corpus.table("T1").materialize()
         assert exc_info.value.check == "sha256"
 
     def test_missing_segment(self, saved):
-        (saved / "packets_T4.npz").unlink()
+        victim = chunk_paths(saved, "T4", "time")[0]
+        victim.unlink()
+        corpus = load_corpus(saved)
         with pytest.raises(StoreError) as exc_info:
-            load_corpus(saved)
+            corpus.table("T4").materialize()
         assert exc_info.value.check == "exists"
-
-    def test_legacy_meta_truncated_segment_wrapped(self, saved):
-        """Without stored checksums the raw numpy/zip failure still
-        surfaces as StoreError, not a raw traceback."""
-        import json as _json
-        meta_path = saved / "meta.json"
-        meta = _json.loads(meta_path.read_text())
-        del meta["checksums"]
-        meta_path.write_text(_json.dumps(meta))
-        segment = saved / "packets_T2.npz"
-        blob = segment.read_bytes()
-        segment.write_bytes(blob[:len(blob) // 3])
-        with pytest.raises(StoreError) as exc_info:
-            load_corpus(saved)
-        assert exc_info.value.check == "read"
+        assert exc_info.value.path == victim
 
     def test_lenient_load_quarantines(self, saved, tiny_corpus):
         import warnings
         from repro.analysis.degrade import DegradationWarning
-        segment = saved / "packets_T3.npz"
-        blob = segment.read_bytes()
-        segment.write_bytes(blob[:len(blob) // 2])
+        for victim in chunk_paths(saved, "T3", "time"):
+            self._truncate(victim, 1 / 2)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             corpus = load_corpus(saved, strict=False)
+            table = corpus.table("T3").materialize()
         warned = [w for w in caught
                   if issubclass(w.category, DegradationWarning)]
         assert warned and warned[0].message.telescope == "T3"
-        assert len(corpus.table("T3")) == 0
-        assert corpus.coverage_gaps["T3"] \
-            == ((0.0, corpus.config.duration),)
+        assert len(table) == 0
+        gaps = corpus.coverage_gaps["T3"]
+        assert gaps[0][0] == 0.0
+        assert gaps[-1][1] == corpus.config.duration
+        assert corpus.covered_fraction("T3") == 0.0
+        assert "T1" not in corpus.coverage_gaps
         assert len(corpus.table("T1")) == len(tiny_corpus.table("T1"))
+
+    def test_unreadable_chunk_wrapped(self, saved):
+        """A numpy read failure under a matching checksum still
+        surfaces as StoreError(check="read")."""
+        victim = chunk_paths(saved, "T2", "time")[0]
+        self._truncate(victim, 1 / 3)
+        meta_path = saved / "meta.json"
+        meta = json.loads(meta_path.read_text())
+        entry = meta["store"]["chunks"]["T2"][0]
+        hasher = hashlib.sha256()
+        for column in CHUNK_COLUMNS:
+            hasher.update(chunk_file(victim.parent, entry["name"],
+                                     column).read_bytes())
+        entry["sha256"] = hasher.hexdigest()
+        meta_path.write_text(json.dumps(meta))
+        corpus = load_corpus(saved)
+        with pytest.raises(StoreError) as exc_info:
+            corpus.table("T2").materialize()
+        assert exc_info.value.check == "read"
+        assert exc_info.value.path == victim
 
     def test_coverage_gaps_round_trip(self, tmp_path, tiny_corpus):
         import dataclasses

@@ -243,19 +243,6 @@ class TestCorruptStore:
         assert len(corpus.table("T1")) \
             == len(tiny_result.corpus.table("T1"))
 
-    def test_corrupt_v1_store(self, tmp_path, tiny_result):
-        from repro.experiment.store import load_corpus, save_corpus
-        from repro.errors import StoreError
-        path = tmp_path / "corpus-v1"
-        save_corpus(tiny_result.corpus, path, format_version=1)
-        injector = FaultInjector(FaultPlan(corrupt_segments=("T2",)),
-                                 seed=3)
-        corrupted = injector.corrupt_store(path)
-        assert [p.name for p in corrupted] == ["packets_T2.npz"]
-        with pytest.raises(StoreError) as exc_info:
-            load_corpus(path)
-        assert exc_info.value.check == "sha256"
-
     def test_corrupt_missing_segment_rejected(self, tmp_path):
         injector = FaultInjector(FaultPlan(corrupt_segments=("T1",)))
         with pytest.raises(FaultError):

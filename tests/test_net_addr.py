@@ -6,9 +6,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.errors import AddressError
-from repro.net.addr import (MAX_ADDR, addr_to_int, addr_to_str, embedded_ipv4,
-                            explode, from_nibbles, iid_of, nibbles_of,
-                            parse_addr, random_bits, subnet_bits)
+from repro.net.addr import (MAX_ADDR, addr_to_int, addr_to_str, explode,
+                            iid_of, nibbles_of, parse_addr, random_bits)
 
 addresses = st.integers(min_value=0, max_value=MAX_ADDR)
 
@@ -64,15 +63,8 @@ class TestNibbles:
 
     @given(addresses)
     def test_nibbles_roundtrip(self, value):
-        assert from_nibbles(nibbles_of(value)) == value
-
-    def test_from_nibbles_wrong_length(self):
-        with pytest.raises(AddressError):
-            from_nibbles([0] * 31)
-
-    def test_from_nibbles_out_of_range(self):
-        with pytest.raises(AddressError):
-            from_nibbles([16] + [0] * 31)
+        assert nibbles_of(value) \
+            == tuple(int(digit, 16) for digit in f"{value:032x}")
 
 
 class TestSections:
@@ -83,20 +75,6 @@ class TestSections:
     @given(addresses)
     def test_iid_is_low_64(self, value):
         assert iid_of(value) == value & ((1 << 64) - 1)
-
-    def test_subnet_bits(self):
-        addr = parse_addr("2001:db8:0:ab::1")
-        assert subnet_bits(addr, 48, 64) == 0xAB
-
-    def test_subnet_bits_zero_width(self):
-        assert subnet_bits(parse_addr("::1"), 64, 64) == 0
-
-    def test_subnet_bits_invalid(self):
-        with pytest.raises(AddressError):
-            subnet_bits(1, 64, 48)
-
-    def test_embedded_ipv4_rendering(self):
-        assert embedded_ipv4(0xC0000201) == "192.0.2.1"
 
 
 class TestRandomBits:

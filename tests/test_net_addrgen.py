@@ -6,10 +6,9 @@ import pytest
 from repro.errors import PrefixError
 from repro.net.addrgen import (embedded_ipv4_address, embedded_port_address,
                                eui64_address, isatap_address,
-                               iterate_low_bytes, low_byte_address,
-                               random_iid_address, random_subnet,
-                               random_targets, structured_sweep,
-                               subnet_router_anycast, wordy_address)
+                               low_byte_address, random_iid_address,
+                               random_subnet, random_targets,
+                               structured_sweep, wordy_address)
 from repro.net.addrtypes import AddressType, classify_address
 from repro.net.prefix import Prefix
 
@@ -34,10 +33,6 @@ class TestGeneratorsMatchTypes:
             low_byte_address(P32, host=0)
         with pytest.raises(PrefixError):
             low_byte_address(P32, host=0x10000)
-
-    def test_anycast(self):
-        assert classify_address(subnet_router_anycast(P48)) \
-            is AddressType.SUBNET_ANYCAST
 
     def test_random_iid(self, rng):
         for _ in range(20):
@@ -73,25 +68,6 @@ class TestGeneratorsMatchTypes:
         for _ in range(20):
             value = wordy_address(P32, rng)
             assert classify_address(value) is AddressType.PATTERN_BYTES
-
-
-class TestIterateLowBytes:
-    def test_walks_subnets_in_order(self):
-        targets = list(iterate_low_bytes(P48, subnet_len=64,
-                                         max_subnets=4))
-        assert len(targets) == 4
-        assert targets == sorted(targets)
-        for t in targets:
-            assert classify_address(t) is AddressType.LOW_BYTE
-
-    def test_multiple_hosts(self):
-        targets = list(iterate_low_bytes(P48, hosts=(1, 2),
-                                         max_subnets=2))
-        assert len(targets) == 4
-
-    def test_invalid_subnet_len(self):
-        with pytest.raises(PrefixError):
-            list(iterate_low_bytes(P48, subnet_len=40))
 
 
 class TestStructuredSweep:

@@ -177,12 +177,6 @@ class TestPrefixSet:
         ps.discard(p)
         assert len(ps) == 0
 
-    def test_most_specific(self):
-        ps = PrefixSet([Prefix.parse("2001:db8::/32"),
-                        Prefix.parse("2001:db8::/33")])
-        assert ps.most_specific().length == 33
-        assert PrefixSet().most_specific() is None
-
     def test_iteration_sorted(self):
         a = Prefix.parse("2001:db8:8000::/33")
         b = Prefix.parse("2001:db8::/33")

@@ -325,6 +325,42 @@ class TestDistributedTelemetry:
         assert live == snapshot_only
         assert live, "no shard-labeled counters were folded"
 
+    def test_reset_shard_unfolds_only_that_shard(self, tmp_path):
+        """Before a retry the tailer zeroes what it folded for the
+        failed shard, so the retry's deltas fold from zero."""
+        import json
+        from repro.obs import events as obsevents
+
+        def spool(shard, moved):
+            record = {"kind": "metrics.delta",
+                      "counters": {"sim.events_executed_total": moved}}
+            with open(obsevents.spool_path(tmp_path, shard), "a") as fh:
+                fh.write(json.dumps(record) + "\n")
+
+        registry = obs.MetricsRegistry()
+
+        def executed(shard):
+            return registry.counter("sim.events_executed_total",
+                                    shard=str(shard)).value
+
+        tailer = sharding.SpoolTailer(tmp_path, 2, registry=registry)
+        spool(0, 2)
+        spool(1, 5)
+        assert tailer.drain() == 2
+        assert (executed(0), executed(1)) == (2, 5)
+        assert tailer.folded_shards == {0, 1}
+
+        tailer.reset_shard(1)
+        assert (executed(0), executed(1)) == (2, 0)
+        assert tailer.folded_shards == {0}
+        assert not obsevents.spool_path(tmp_path, 1).exists()
+        assert obsevents.spool_path(tmp_path, 0).exists()
+
+        spool(1, 3)  # the retry's attempt
+        assert tailer.drain() == 1
+        assert (executed(0), executed(1)) == (2, 3)
+        assert tailer.folded_shards == {0, 1}
+
 
 class TestShardingGuards:
     def test_checkpointed_sharded_run_persists_manifest(self, tmp_path,

@@ -4,7 +4,7 @@ import pytest
 
 from repro.errors import SimulationError
 from repro.sim.clock import (DAY, HOUR, WEEK, SimClock, day_of,
-                             format_duration, hour_of, week_of)
+                             format_duration, week_of)
 
 
 class TestSimClock:
@@ -33,15 +33,6 @@ class TestSimClock:
         clock.advance_to(10.0)
         assert clock.now == 10.0
 
-    def test_advance_by(self):
-        clock = SimClock(1.0)
-        clock.advance_by(2.5)
-        assert clock.now == 3.5
-
-    def test_advance_by_negative_rejected(self):
-        with pytest.raises(SimulationError):
-            SimClock().advance_by(-0.1)
-
     def test_day_and_week_properties(self):
         clock = SimClock(8 * DAY + 3 * HOUR)
         assert clock.day == 8
@@ -58,9 +49,6 @@ class TestCalendarHelpers:
         assert week_of(WEEK - 1) == 0
         assert week_of(WEEK) == 1
         assert week_of(13 * WEEK + DAY) == 13
-
-    def test_hour_of(self):
-        assert hour_of(3 * HOUR + 10) == 3
 
 
 class TestFormatDuration:

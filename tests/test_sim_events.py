@@ -36,12 +36,6 @@ class TestEventQueue:
         with pytest.raises(SimulationError):
             EventQueue().schedule(-1.0, lambda: None)
 
-    def test_peek_time(self):
-        queue = EventQueue()
-        assert queue.peek_time() is None
-        queue.schedule(3.0, lambda: None)
-        assert queue.peek_time() == 3.0
-
     def test_len_is_live_count(self):
         queue = EventQueue()
         events = [queue.schedule(float(i), lambda: None) for i in range(5)]
@@ -70,8 +64,9 @@ class TestEventQueue:
             event.cancel()
         assert len(queue) == 1
         assert queue.events_cancelled == 3
-        # peek forces the lazy drop of all three dead heap entries
-        assert queue.peek_time() == 5.0
+        # force the lazy drop of all three dead heap entries
+        queue._drop_cancelled()
+        assert len(queue._heap) == 1
         assert len(queue) == 1
         assert queue.events_cancelled == 3
         # popping the live event decrements depth, not the cancel counter

@@ -1,14 +1,13 @@
-"""Tests for the v2 out-of-core chunked columnar store (DESIGN §9).
+"""Tests for the out-of-core chunked columnar store (DESIGN §9).
 
-Differential coverage: a v2 corpus must load back equal to the v1 one,
-``corpus_digest`` must be invariant across formats, chunk sizes, and
-shard counts, and chunk-granularity quarantine must leave sibling
+Differential coverage: a saved store must load back equal to the
+in-memory corpus, ``corpus_digest`` must be invariant across chunk sizes
+and shard counts, and chunk-granularity quarantine must leave sibling
 chunks readable.
 """
 
 import json
 import math
-import time
 import warnings
 
 import numpy as np
@@ -22,8 +21,7 @@ from repro.core.columnar import ChunkedPacketTable
 from repro.errors import StoreError
 from repro.experiment import ExperimentConfig, run_experiment
 from repro.experiment.phases import Phase
-from repro.experiment.store import (DEFAULT_CHUNK_ROWS, corpus_digest,
-                                    load_corpus, migrate_store, save_corpus)
+from repro.experiment.store import corpus_digest, load_corpus, save_corpus
 
 COLUMNS = ("time", "src_hi", "src_lo", "dst_hi", "dst_lo", "protocol",
            "dst_port", "src_asn", "scanner_id")
@@ -37,22 +35,20 @@ def _rows_for_chunks(corpus, num_chunks: int) -> int:
 
 
 @pytest.fixture(scope="module")
-def stores(tmp_path_factory, tiny_corpus):
-    """One v1 and one v2 save of the tiny corpus."""
-    root = tmp_path_factory.mktemp("stores")
-    save_corpus(tiny_corpus, root / "v1", format_version=1)
-    save_corpus(tiny_corpus, root / "v2",
+def store(tmp_path_factory, tiny_corpus):
+    """An 8-chunk save of the tiny corpus."""
+    path = tmp_path_factory.mktemp("stores") / "chunked"
+    save_corpus(tiny_corpus, path,
                 chunk_rows=_rows_for_chunks(tiny_corpus, 8))
-    return root
+    return path
 
 
 class TestDifferential:
-    def test_v2_loads_equal_to_v1(self, stores):
-        v1 = load_corpus(stores / "v1")
-        v2 = load_corpus(stores / "v2")
-        for telescope in v1.telescopes():
-            a = v1.table(telescope).time_sorted()
-            b = v2.table(telescope).materialize()
+    def test_loads_equal_to_saved_corpus(self, store, tiny_corpus):
+        loaded = load_corpus(store)
+        for telescope in tiny_corpus.telescopes():
+            a = tiny_corpus.table(telescope).time_sorted()
+            b = loaded.table(telescope).materialize()
             assert len(a) == len(b)
             for column in COLUMNS:
                 assert np.array_equal(getattr(a, column),
@@ -63,10 +59,17 @@ class TestDifferential:
             assert np.array_equal(off_a, off_b)
             assert np.array_equal(blob_a, blob_b)
 
-    def test_digest_invariant_across_formats(self, stores, tiny_corpus):
+    def test_digest_invariant_across_formats(self, store, tiny_corpus,
+                                             tmp_path):
+        """In-memory tables, the lazy chunk store and a store re-saved
+        from that lazy corpus all share one digest."""
         expected = corpus_digest(tiny_corpus)
-        assert corpus_digest(load_corpus(stores / "v1")) == expected
-        assert corpus_digest(load_corpus(stores / "v2")) == expected
+        lazy = load_corpus(store)
+        assert isinstance(lazy.table("T1"), ChunkedPacketTable)
+        assert corpus_digest(lazy) == expected
+        save_corpus(lazy, tmp_path / "resaved",
+                    chunk_rows=_rows_for_chunks(tiny_corpus, 3))
+        assert corpus_digest(load_corpus(tmp_path / "resaved")) == expected
 
     @pytest.mark.parametrize("num_chunks", [1, 4, 16])
     def test_digest_invariant_across_chunk_sizes(self, tmp_path,
@@ -93,41 +96,9 @@ class TestDifferential:
         assert corpus_digest(load_corpus(path)) == corpus_digest(tiny_corpus)
 
 
-class TestMigration:
-    def test_v1_to_v2_round_trip(self, stores, tiny_corpus, tmp_path):
-        dst = tmp_path / "migrated"
-        migrate_store(stores / "v1", dst, chunk_rows=512)
-        migrated = load_corpus(dst)
-        assert json.loads((dst / "meta.json").read_text())[
-            "format_version"] == 2
-        assert corpus_digest(migrated) == corpus_digest(tiny_corpus)
-        assert migrated.schedule == tiny_corpus.schedule
-
-    def test_migrate_cli(self, stores, tiny_corpus, tmp_path):
-        from repro.cli import main
-        dst = tmp_path / "cli-migrated"
-        assert main(["migrate-store", str(stores / "v1"), str(dst),
-                     "--chunk-rows", "256"]) == 0
-        assert corpus_digest(load_corpus(dst)) == corpus_digest(tiny_corpus)
-
-    def test_migrate_refuses_same_directory(self, stores):
-        with pytest.raises(StoreError):
-            migrate_store(stores / "v1", stores / "v1")
-
-    def test_migrate_strict_on_corrupt_source(self, tmp_path, tiny_corpus):
-        src = tmp_path / "src"
-        save_corpus(tiny_corpus, src, format_version=1)
-        segment = src / "packets_T2.npz"
-        blob = bytearray(segment.read_bytes())
-        blob[len(blob) // 2] ^= 0xFF
-        segment.write_bytes(bytes(blob))
-        with pytest.raises(StoreError):
-            migrate_store(src, tmp_path / "dst")
-
-
 class TestPushdown:
-    def test_phase_slice_opens_subset_of_chunks(self, stores):
-        corpus = load_corpus(stores / "v2")
+    def test_phase_slice_opens_subset_of_chunks(self, store):
+        corpus = load_corpus(store)
         table = corpus.table("T1")
         assert isinstance(table, ChunkedPacketTable)
         assert table.bytes_opened() == 0
@@ -141,18 +112,18 @@ class TestPushdown:
             sliced.time, table.materialize().slice_time(start, end).time)
         assert len(full) == len(corpus.table("T2"))
 
-    def test_phase_packets_pushdown_matches_filter(self, stores):
-        corpus = load_corpus(stores / "v2")
+    def test_phase_packets_pushdown_matches_filter(self, store,
+                                                   tiny_corpus):
+        corpus = load_corpus(store)
         packets = corpus.phase_packets("T3", Phase.INITIAL)
-        eager = load_corpus(stores / "v1")
         start, end = (0.0, corpus.config.baseline_weeks * 7 * 86400.0)
-        expected = [p for p in eager.packets("T3")
+        expected = [p for p in tiny_corpus.packets("T3")
                     if start <= p.time < end]
         assert [(p.time, p.src, p.dst) for p in packets] \
             == [(p.time, p.src, p.dst) for p in expected]
 
-    def test_len_needs_no_io(self, stores, tiny_corpus):
-        corpus = load_corpus(stores / "v2")
+    def test_len_needs_no_io(self, store, tiny_corpus):
+        corpus = load_corpus(store)
         for telescope in corpus.telescopes():
             table = corpus.table(telescope)
             assert len(table) == len(tiny_corpus.table(telescope))
@@ -234,9 +205,9 @@ class TestChunkQuarantine:
 
 
 class TestObservability:
-    def test_chunk_counters_and_bytes_gauge(self, stores):
+    def test_chunk_counters_and_bytes_gauge(self, store):
         with obs.FlightRecorder() as recorder:
-            corpus = load_corpus(stores / "v2")
+            corpus = load_corpus(store)
             corpus.phase_table("T1", Phase.INITIAL)
         snapshot = recorder.metrics.snapshot()
         opened = [key for key in snapshot["counters"]
@@ -248,29 +219,28 @@ class TestObservability:
         assert opened and verified and mapped
 
 
-@pytest.mark.overhead
-class TestColdAnalysisOverhead:
-    def test_v2_cold_analysis_within_5pct_of_v1(self, stores):
-        """A cold full-corpus analysis over the lazy v2 store must stay
-        within 5% of the v1 eager load (plus an absolute floor so tiny
-        timing jitter cannot flake the guard)."""
+class TestColdAnalysis:
+    def test_cold_table2_opens_and_verifies_each_chunk_once(self, store):
+        """The load reads only the manifest; a cold analysis then opens
+        and verifies every chunk exactly once. (perfbench ``reproduce``
+        times the cold load: its ``store.load_corpus.wall_s`` row.)"""
+        manifest = json.loads((store / "meta.json").read_text())[
+            "store"]["chunks"]
 
-        def cold(path):
-            def run():
-                analysis = CorpusAnalysis(load_corpus(path))
-                return table2(analysis)
-            return run
+        def counts(recorder, name):
+            return {telescope: recorder.metrics.counter(
+                        name, telescope=telescope).value
+                    for telescope in manifest}
 
-        best = {}
-        for name in ("v1", "v2"):
-            runner = cold(stores / name)
-            runner()  # warm the page cache and allocator
-            best[name] = min(
-                _timed(runner) for _ in range(3))
-        assert best["v2"] <= 1.05 * best["v1"] + 0.05
-
-
-def _timed(fn) -> float:
-    started = time.perf_counter()
-    fn()
-    return time.perf_counter() - started
+        with obs.FlightRecorder() as recorder:
+            corpus = load_corpus(store)
+            for name in ("store.chunks_opened_total",
+                         "store.chunks_verified_total"):
+                assert counts(recorder, name) \
+                    == dict.fromkeys(manifest, 0.0)
+            table2(CorpusAnalysis(corpus))
+            for name in ("store.chunks_opened_total",
+                         "store.chunks_verified_total"):
+                assert counts(recorder, name) == {
+                    telescope: float(len(chunks))
+                    for telescope, chunks in manifest.items()}
