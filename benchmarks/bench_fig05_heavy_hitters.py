@@ -17,7 +17,7 @@ def test_fig05_heavy_hitters(benchmark, bench_analysis):
     print(result.render())
     corpus = bench_analysis.corpus
     impact = heavy_hitter_impact(
-        {t: corpus.packets(t) for t in corpus.telescopes()},
+        {t: corpus.table(t) for t in corpus.telescopes()},
         {t: bench_analysis.sessions(t) for t in corpus.telescopes()})
     print_comparison("Fig 5 / §4.2", [
         ("heavy hitters", "10", str(impact.num_hitters)),

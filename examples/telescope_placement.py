@@ -48,8 +48,7 @@ def main() -> int:
 
     print("(ii) announced prefix count beats prefix size — split-period "
           "sessions per prefix size:")
-    sessions = analysis.sessions("T1", AggregationLevel.ADDR,
-                                 Phase.FULL).sessions
+    sessions = analysis.sessions("T1", AggregationLevel.ADDR, Phase.FULL)
     cumulative = sessions_per_prefix_cumulative(sessions, corpus.schedule)
     by_length: Counter = Counter()
     prefix_count: Counter = Counter()

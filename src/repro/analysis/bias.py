@@ -18,10 +18,13 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 
+import numpy as np
+
 from repro.analysis.context import CorpusAnalysis
 from repro.core.addrclass import CLASS_ORDER
 from repro.core.aggregation import AggregationLevel
-from repro.errors import AnalysisError
+from repro.core.columnar import distinct_rows
+from repro.core.sessions import protocol_session_counts
 from repro.experiment.phases import Phase
 
 
@@ -70,11 +73,6 @@ class BiasReport:
     profiles: dict[str, TelescopeProfile]
     divergences: dict[tuple[str, str], float]
 
-    def most_divergent_pair(self) -> tuple[str, str]:
-        if not self.divergences:
-            raise AnalysisError("no telescope pairs to compare")
-        return max(self.divergences, key=lambda k: self.divergences[k])
-
     def render(self) -> str:
         lines = ["Telescope bias report (attractor-sampled populations)"]
         for name in sorted(self.profiles):
@@ -104,16 +102,14 @@ def profile_telescope(analysis: CorpusAnalysis, telescope: str,
     temporal = analysis.temporal_classes(telescope, AggregationLevel.ADDR,
                                          phase)
     temporal_counter: Counter = Counter(temporal.values())
-    protocol_counter: Counter = Counter()
-    for session in session_set:
-        for protocol in session.protocols():
-            protocol_counter[protocol] += 1
+    protocol_counter = Counter(
+        protocol_session_counts(session_set.protocol_masks()))
     address_counter = Counter(
         CLASS_ORDER[code] for code in analysis.address_classes(
             telescope, AggregationLevel.ADDR, phase).tolist())
-    packets = analysis.corpus.phase_packets(telescope, phase)
-    sources_128 = len({p.src for p in packets})
-    sources_64 = len({p.src >> 64 for p in packets})
+    table = analysis.corpus.phase_table(telescope, phase)
+    sources_128 = len(distinct_rows(table.src_hi, table.src_lo)[0])
+    sources_64 = len(np.unique(table.src_hi))
     return TelescopeProfile(
         telescope=telescope,
         sources=sources_128,

@@ -7,6 +7,8 @@ tables and figures; :class:`CorpusAnalysis` computes each combination of
 Sessionization runs on the columnar engine
 (:func:`repro.core.columnar.sessionize_table`), and address classes are
 one column per session set (:func:`repro.core.addrclass.classify_segments`).
+Every analysis reads packet columns and the session sets' row layout;
+none builds a :class:`~repro.telescope.packet.Packet`.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from repro.core.aggregation import AggregationLevel
 from repro.core.columnar import sessionize_table
 from repro.core.netclass import NetworkClass
 from repro.core.netclass import classify_all as classify_network_all
-from repro.core.sessions import Session, SessionSet
+from repro.core.sessions import SessionSet
 from repro.core.temporal import TemporalClass
 from repro.core.temporal import classify_all as classify_temporal_all
 from repro.analysis.degrade import warn_degraded
@@ -89,18 +91,6 @@ class CorpusAnalysis:
                 table, telescope=telescope, level=level)
         return self._sessions[key]
 
-    def all_sessions(self, level: AggregationLevel = AggregationLevel.ADDR,
-                     phase: Phase = Phase.FULL) -> list[Session]:
-        combined: list[Session] = []
-        for telescope in self.corpus.telescopes():
-            combined.extend(self.sessions(telescope, level, phase).sessions)
-        return combined
-
-    def by_source(self, telescope: str,
-                  level: AggregationLevel = AggregationLevel.ADDR,
-                  phase: Phase = Phase.FULL) -> dict[int, list[Session]]:
-        return self.sessions(telescope, level, phase).by_source()
-
     # -- classification ---------------------------------------------------------
 
     def temporal_classes(self, telescope: str,
@@ -113,7 +103,7 @@ class CorpusAnalysis:
             with obs.span("analysis.classify_temporal", telescope=telescope,
                           level=level.name, phase=phase.name):
                 self._temporal[key] = classify_temporal_all(
-                    self.by_source(telescope, level, phase))
+                    self.sessions(telescope, level, phase))
         else:
             obs.add("analysis.classify.cache_hits_total")
         return self._temporal[key]
@@ -147,7 +137,7 @@ class CorpusAnalysis:
             obs.add("analysis.classify.cache_misses_total")
             with obs.span("analysis.classify_network", level=level.name):
                 self._network[level] = classify_network_all(
-                    self.by_source("T1", level, Phase.SPLIT),
+                    self.sessions("T1", level, Phase.SPLIT),
                     self.corpus.schedule)
         else:
             obs.add("analysis.classify.cache_hits_total")

@@ -16,22 +16,22 @@ import numpy as np
 from repro.analysis.context import CorpusAnalysis
 from repro.analysis.degrade import warn_degraded
 from repro.obs import traced
-from repro.core.addrclass import CLASS_ORDER, AddressClass
+from repro.core.addrclass import CLASS_CODE, CLASS_ORDER, AddressClass
 from repro.core.aggregation import AggregationLevel
+from repro.core.columnar import first_arrivals
 from repro.core.heavy import HeavyHitter, find_heavy_hitters
 from repro.core.nist import (bits_from_addresses, run_battery)
-from repro.core.overlap import (UpSetData, day_overlap, sources_everywhere,
-                                upset)
+from repro.core.overlap import (UpSetData, day_overlap, source_days,
+                                sources_everywhere, upset)
 from repro.core.reactivity import (CycleActivity, cycle_activity,
                                    new_source_prefixes_per_day,
                                    sessions_per_prefix_cumulative)
-from repro.core.sessions import Session
+from repro.core.sessions import SessionSet
 from repro.core.temporal import TemporalClass
 from repro.errors import AnalysisError
 from repro.experiment.phases import Phase
-from repro.net.addr import nibbles_of
 from repro.net.prefix import Prefix
-from repro.sim.clock import DAY, HOUR, WEEK
+from repro.sim.clock import HOUR, WEEK
 
 TELESCOPES = ("T1", "T2", "T3", "T4")
 
@@ -68,11 +68,11 @@ class Fig3Result:
 
 @traced("analysis.fig3")
 def fig3(analysis: CorpusAnalysis) -> Fig3Result:
-    packets = [p for t in TELESCOPES
-               for p in analysis.corpus.phase_packets(t, Phase.INITIAL)]
+    tables = [analysis.corpus.phase_table(t, Phase.INITIAL)
+              for t in TELESCOPES]
     start, end = 0.0, analysis.corpus.config.split_start
     return Fig3Result(daily_new=new_source_prefixes_per_day(
-        packets, start, end))
+        tables, start, end))
 
 
 # -- Fig. 4: relative growth of packets / ASes / sources / sessions --------
@@ -100,10 +100,8 @@ class Fig4Result:
 
 @traced("analysis.fig4")
 def fig4(analysis: CorpusAnalysis) -> Fig4Result:
-    packets = sorted((p for t in TELESCOPES
-                      for p in analysis.corpus.phase_packets(t, Phase.FULL)),
-                     key=lambda p: p.time)
-    if not packets:
+    tables = [analysis.corpus.phase_table(t, Phase.FULL) for t in TELESCOPES]
+    if not sum(len(table) for table in tables):
         if not analysis.has_gaps():
             raise AnalysisError("empty corpus")
         # every capture was dark: degrade to a well-defined flat result
@@ -118,44 +116,34 @@ def fig4(analysis: CorpusAnalysis) -> Fig4Result:
                          "sessions_128", "sessions_64")})
     duration = analysis.corpus.config.duration
     weeks = list(range(int(duration / WEEK) + 1))
-    counters = {
-        "packets": 0,
-        "asns": set(),
-        "sources_128": set(),
-        "sources_64": set(),
-    }
+    # a week's horizon ends it: an item counts from the first week whose
+    # horizon lies past its first arrival
+    horizons = (np.arange(len(weeks), dtype=np.float64) + 1) * WEEK
+
+    def cumulative(times: np.ndarray) -> list[float]:
+        week = np.searchsorted(horizons, times, side="right")
+        counts = np.bincount(week, minlength=len(weeks) + 1)[:len(weeks)]
+        return np.cumsum(counts).astype(np.float64).tolist()
+
+    time = np.concatenate([t.time for t in tables])
+    src_hi = np.concatenate([t.src_hi for t in tables])
+    src_lo = np.concatenate([t.src_lo for t in tables])
+    asn = np.concatenate([t.src_asn for t in tables]).astype(np.uint64)
+    with_asn = asn != 0
+    zeros = np.zeros(len(time), dtype=np.uint64)
     series: dict[str, list[float]] = {
-        "packets": [], "asns": [], "sources_128": [], "sources_64": [],
-        "sessions_128": [], "sessions_64": [],
+        "packets": cumulative(time),
+        "asns": cumulative(first_arrivals(zeros[with_asn], asn[with_asn],
+                                          time[with_asn])),
+        "sources_128": cumulative(first_arrivals(src_hi, src_lo, time)),
+        "sources_64": cumulative(first_arrivals(zeros, src_hi, time)),
     }
-    index = 0
-    for week in weeks:
-        horizon = (week + 1) * WEEK
-        while index < len(packets) and packets[index].time < horizon:
-            p = packets[index]
-            counters["packets"] += 1
-            if p.src_asn:
-                counters["asns"].add(p.src_asn)
-            counters["sources_128"].add(p.src)
-            counters["sources_64"].add(p.src >> 64)
-            index += 1
-        series["packets"].append(float(counters["packets"]))
-        series["asns"].append(float(len(counters["asns"])))
-        series["sources_128"].append(float(len(counters["sources_128"])))
-        series["sources_64"].append(float(len(counters["sources_64"])))
     # sessions: count per week bucket from the sessionized view
     for level, name in ((AggregationLevel.ADDR, "sessions_128"),
                         (AggregationLevel.SUBNET, "sessions_64")):
-        starts = sorted(s.start for t in TELESCOPES
-                        for s in analysis.sessions(t, level, Phase.FULL))
-        running = 0
-        position = 0
-        for week in weeks:
-            horizon = (week + 1) * WEEK
-            while position < len(starts) and starts[position] < horizon:
-                running += 1
-                position += 1
-            series[name].append(float(running))
+        series[name] = cumulative(np.concatenate([
+            analysis.sessions(t, level, Phase.FULL).starts()
+            for t in TELESCOPES]))
     return Fig4Result(weeks=weeks, series=series)
 
 
@@ -184,18 +172,19 @@ class Fig5Result:
 
 @traced("analysis.fig5")
 def fig5(analysis: CorpusAnalysis) -> Fig5Result:
-    packets_by_telescope = {
-        t: analysis.corpus.phase_packets(t, Phase.FULL) for t in TELESCOPES}
-    hitters = find_heavy_hitters(packets_by_telescope)
-    wanted = {(h.source, h.telescope) for h in hitters}
+    tables = {t: analysis.corpus.phase_table(t, Phase.FULL)
+              for t in TELESCOPES}
+    hitters = find_heavy_hitters(tables)
     daily: dict[tuple[int, str], dict[int, int]] = {}
-    for telescope, packets in packets_by_telescope.items():
-        for p in packets:
-            key = (p.src, telescope)
-            if key in wanted:
-                bucket = daily.setdefault(key, {})
-                day = int(p.time // DAY)
-                bucket[day] = bucket.get(day, 0) + 1
+    for telescope, table in tables.items():
+        wanted = {h.source for h in hitters if h.telescope == telescope}
+        days = source_days(table.take(np.flatnonzero(
+            table.source_mask(wanted))))
+        for hi, lo, day, count in zip(days.src_hi.tolist(),
+                                      days.src_lo.tolist(),
+                                      days.day.tolist(),
+                                      days.packets.tolist()):
+            daily.setdefault(((hi << 64) | lo, telescope), {})[day] = count
     return Fig5Result(hitters=hitters, daily=daily)
 
 
@@ -230,10 +219,10 @@ def fig7(analysis: CorpusAnalysis) -> Fig7Result:
     hours = int(split_start / HOUR)
     hourly: dict[str, list[int]] = {}
     for telescope in TELESCOPES:
-        series = [0] * hours
-        for p in analysis.corpus.phase_packets(telescope, Phase.INITIAL):
-            series[min(int(p.time // HOUR), hours - 1)] += 1
-        hourly[telescope] = series
+        time = analysis.corpus.phase_table(telescope, Phase.INITIAL).time
+        hour = np.minimum(np.floor_divide(time, HOUR), hours - 1)
+        hourly[telescope] = np.bincount(hour.astype(np.int64),
+                                        minlength=hours).tolist()
     classification = {telescope: _taxonomy(analysis, telescope,
                                            Phase.INITIAL)
                       for telescope in TELESCOPES}
@@ -249,12 +238,21 @@ def _taxonomy(analysis: CorpusAnalysis, telescope: str, phase: Phase) \
     temporal = analysis.temporal_classes(telescope, AggregationLevel.ADDR,
                                          phase)
     codes = analysis.address_classes(telescope, AggregationLevel.ADDR, phase)
-    by_source: dict[int, list[int]] = {}
-    for session, code in zip(session_set.sessions, codes.tolist()):
-        by_source.setdefault(session.source, []).append(code)
-    return dict(Counter((temporal[source], CLASS_ORDER[code])
-                        for source, source_codes in by_source.items()
-                        for code in source_codes))
+    sources = session_set.source_codes()
+    classes = list(TemporalClass)
+    source_class = np.array([classes.index(temporal[source])
+                             for source in session_set.source_keys()],
+                            dtype=np.int64)
+    # sessions source by source, each source's in session order
+    order = np.argsort(sources, kind="stable")
+    pairs = source_class[sources[order]] * len(CLASS_ORDER) \
+        + codes[order].astype(np.int64)
+    keys, first, counts = np.unique(pairs, return_index=True,
+                                    return_counts=True)
+    met = np.argsort(first)
+    return {(classes[key // len(CLASS_ORDER)],
+             CLASS_ORDER[key % len(CLASS_ORDER)]): count
+            for key, count in zip(keys[met].tolist(), counts[met].tolist())}
 
 
 # -- Fig. 8: cross-telescope UpSet intersections -----------------------------
@@ -286,9 +284,10 @@ def fig8(analysis: CorpusAnalysis) -> Fig8Result:
     asn_sets: dict[str, set] = {}
     source_sets: dict[str, set] = {}
     for telescope in TELESCOPES:
-        packets = analysis.corpus.phase_packets(telescope, Phase.INITIAL)
-        asn_sets[telescope] = {p.src_asn for p in packets if p.src_asn}
-        source_sets[telescope] = {p.src for p in packets}
+        table = analysis.corpus.phase_table(telescope, Phase.INITIAL)
+        asn_sets[telescope] = set(
+            np.unique(table.src_asn[table.src_asn != 0]).tolist())
+        source_sets[telescope] = table.unique_source_addresses()
     return Fig8Result(asns=upset(asn_sets), sources=upset(source_sets))
 
 
@@ -324,10 +323,11 @@ def fig9(analysis: CorpusAnalysis) -> Fig9Result:
     coverage: dict[str, list[float]] = {}
     normalized: dict[str, list[float]] = {}
     for telescope in TELESCOPES:
-        series = [0] * weeks
-        for session in analysis.sessions(telescope, AggregationLevel.ADDR,
-                                         Phase.INITIAL):
-            series[min(int(session.start // WEEK), weeks - 1)] += 1
+        starts = analysis.sessions(telescope, AggregationLevel.ADDR,
+                                   Phase.INITIAL).starts()
+        week = np.minimum(np.floor_divide(starts, WEEK), weeks - 1)
+        series = np.bincount(week.astype(np.int64),
+                             minlength=weeks).tolist()
         weekly[telescope] = series
         fractions = [
             analysis.corpus.covered_fraction(telescope, w * WEEK,
@@ -373,8 +373,7 @@ class Fig10Result:
 
 @traced("analysis.fig10")
 def fig10(analysis: CorpusAnalysis) -> Fig10Result:
-    sessions = analysis.sessions("T1", AggregationLevel.ADDR,
-                                 Phase.FULL).sessions
+    sessions = analysis.sessions("T1", AggregationLevel.ADDR, Phase.FULL)
     cycles = analysis.corpus.schedule
     return Fig10Result(
         cumulative=sessions_per_prefix_cumulative(sessions, cycles),
@@ -401,13 +400,11 @@ class Fig11Result:
 @traced("analysis.fig11")
 def fig11(analysis: CorpusAnalysis) -> Fig11Result:
     cycles = analysis.corpus.schedule
-    t1_sessions = analysis.sessions("T1", AggregationLevel.ADDR,
-                                    Phase.FULL).sessions
-    other_sessions = []
-    for telescope in ("T2", "T3", "T4"):
-        other_sessions.extend(
-            analysis.sessions(telescope, AggregationLevel.ADDR,
-                              Phase.FULL).sessions)
+    t1_sessions = [analysis.sessions("T1", AggregationLevel.ADDR,
+                                     Phase.FULL)]
+    other_sessions = [analysis.sessions(telescope, AggregationLevel.ADDR,
+                                        Phase.FULL)
+                      for telescope in ("T2", "T3", "T4")]
     return Fig11Result(t1=cycle_activity(t1_sessions, cycles),
                        others=cycle_activity(other_sessions, cycles))
 
@@ -456,29 +453,38 @@ class Fig12Result:
         return "\n".join(lines)
 
 
-def _nibble_matrix(session: Session) -> NibbleMatrix:
-    data = np.array([nibbles_of(t) for t in session.targets()],
-                    dtype=np.uint8)
-    return NibbleMatrix(source=session.source, nibbles=data)
+def _session_targets(session_set: SessionSet,
+                     session: int) -> tuple[np.ndarray, np.ndarray]:
+    """(dst_hi, dst_lo) of one session's packets, in arrival order."""
+    rows, offsets = session_set.session_rows()
+    rows = rows[offsets[session]:offsets[session + 1]]
+    return session_set.table.dst_hi[rows], session_set.table.dst_lo[rows]
+
+
+def _nibble_matrix(session_set: SessionSet, session: int) -> NibbleMatrix:
+    """The 32 hex digits of every target, most significant first."""
+    halves = np.stack(_session_targets(session_set, session), axis=1)
+    shifts = np.arange(60, -1, -4, dtype=np.uint64)
+    nibbles = (halves[:, :, None] >> shifts) & np.uint64(0xF)
+    return NibbleMatrix(source=session_set.sessions[session].source,
+                        nibbles=nibbles.reshape(len(halves), 32)
+                        .astype(np.uint8))
 
 
 @traced("analysis.fig12")
 def fig12(analysis: CorpusAnalysis, min_packets: int = 100) -> Fig12Result:
-    """Pick one structured and one random T1 session and matrix them."""
-    structured = best_random = None
+    """Pick the first structured and the first random T1 session of at
+    least ``min_packets`` packets and matrix them."""
     sessions = analysis.sessions("T1", AggregationLevel.ADDR, Phase.FULL)
     codes = analysis.address_classes("T1", AggregationLevel.ADDR, Phase.FULL)
-    for session, code in zip(sessions, codes.tolist()):
-        if len(session) < min_packets:
-            continue
-        verdict = CLASS_ORDER[code]
-        if verdict is AddressClass.STRUCTURED and structured is None:
-            structured = _nibble_matrix(session)
-        elif verdict is AddressClass.RANDOM and best_random is None:
-            best_random = _nibble_matrix(session)
-        if structured is not None and best_random is not None:
-            break
-    return Fig12Result(structured=structured, random=best_random)
+    long_enough = sessions.sizes() >= min_packets
+    matrices = []
+    for verdict in (AddressClass.STRUCTURED, AddressClass.RANDOM):
+        found = np.flatnonzero(long_enough
+                               & (codes == CLASS_CODE[verdict]))
+        matrices.append(_nibble_matrix(sessions, int(found[0]))
+                        if len(found) else None)
+    return Fig12Result(structured=matrices[0], random=matrices[1])
 
 
 @traced("analysis.fig13")
@@ -516,22 +522,29 @@ class Fig14Result:
 
 @traced("analysis.fig14")
 def fig14(analysis: CorpusAnalysis) -> Fig14Result:
-    t1 = analysis.corpus.t1_prefix
     temporal = analysis.temporal_classes("T1", AggregationLevel.ADDR,
                                          Phase.SPLIT)
-    by_source = analysis.by_source("T1", AggregationLevel.ADDR, Phase.SPLIT)
-    per_class: dict[TemporalClass, Counter] = {
-        cls: Counter() for cls in TemporalClass}
-    for source, sessions in by_source.items():
-        cls = temporal[source]
-        for session in sessions:
-            for p in session.packets:
-                subnet = p.dst >> (128 - 48) & 0xFFFF
-                per_class[cls][subnet] += 1
-    ranked = {cls: sorted(counter.values(), reverse=True)
-              for cls, counter in per_class.items()}
-    top = {cls: (counter.most_common(1)[0][0] if counter else -1)
-           for cls, counter in per_class.items()}
+    session_set = analysis.split_sessions_t1()
+    classes = list(TemporalClass)
+    source_class = np.array([classes.index(temporal[source])
+                             for source in session_set.source_keys()],
+                            dtype=np.int64)
+    # packets source by source (each source's sessions in order): the
+    # order a Counter met the subnets in, which breaks count ties
+    rows, _ = session_set.session_rows()
+    row_source = session_set.source_codes()[session_set.row_sessions()]
+    by_source = np.argsort(row_source, kind="stable")
+    row_class = source_class[row_source[by_source]]
+    subnet = ((session_set.table.dst_hi[rows[by_source]] >> np.uint64(16))
+              & np.uint64(0xFFFF)).astype(np.int64)
+    ranked, top = {}, {}
+    for index, cls in enumerate(classes):
+        keys, first, counts = np.unique(subnet[row_class == index],
+                                        return_index=True,
+                                        return_counts=True)
+        ranked[cls] = sorted(counts.tolist(), reverse=True)
+        top[cls] = int(keys[np.lexsort((first, -counts))[0]]) \
+            if len(keys) else -1
     return Fig14Result(ranked=ranked, top_subnet=top)
 
 
@@ -575,25 +588,24 @@ class Fig16Result:
 
 @traced("analysis.fig16")
 def fig16(analysis: CorpusAnalysis) -> Fig16Result:
-    source_sets = {
-        t: {p.src for p in analysis.corpus.phase_packets(t, Phase.FULL)}
-        for t in TELESCOPES}
-    everywhere = sources_everywhere(source_sets)
+    tables = {t: analysis.corpus.phase_table(t, Phase.FULL)
+              for t in TELESCOPES}
+    everywhere = sources_everywhere({
+        t: table.unique_source_addresses() for t, table in tables.items()})
     daily: dict[int, dict[str, dict[int, int]]] = {}
-    for telescope in TELESCOPES:
-        for p in analysis.corpus.phase_packets(telescope, Phase.FULL):
-            if p.src in everywhere:
-                per_scope = daily.setdefault(p.src, {}).setdefault(
-                    telescope, {})
-                day = int(p.time // DAY)
-                per_scope[day] = per_scope.get(day, 0) + 1
-    t1_packets = analysis.corpus.phase_packets("T1", Phase.FULL)
-    t2_packets = analysis.corpus.phase_packets("T2", Phase.FULL)
+    for telescope, table in tables.items():
+        days = source_days(table.take(np.flatnonzero(
+            table.source_mask(everywhere))))
+        for hi, lo, day, count in zip(days.src_hi.tolist(),
+                                      days.src_lo.tolist(),
+                                      days.day.tolist(),
+                                      days.packets.tolist()):
+            daily.setdefault((hi << 64) | lo, {}).setdefault(
+                telescope, {})[day] = count
     weeks = int(analysis.corpus.config.duration / WEEK)
-    shares = []
-    for week in range(1, weeks + 1):
-        overlap = day_overlap(t1_packets, t2_packets, until=week * WEEK)
-        shares.append(overlap.same_day_share)
+    shares = [overlap.same_day_share for overlap in day_overlap(
+        tables["T1"], tables["T2"],
+        [week * WEEK for week in range(1, weeks + 1)])]
     return Fig16Result(everywhere_sources=everywhere, daily_activity=daily,
                        weekly_same_day_share=shares)
 
@@ -623,31 +635,29 @@ class Fig17Result:
 def fig17(analysis: CorpusAnalysis, min_packets: int = 100) -> Fig17Result:
     temporal = analysis.temporal_classes("T1", AggregationLevel.ADDR,
                                          Phase.SPLIT)
-    by_source = analysis.by_source("T1", AggregationLevel.ADDR, Phase.SPLIT)
+    session_set = analysis.split_sessions_t1()
+    sources = session_set.source_keys()
     prefix_len = analysis.corpus.t1_prefix.length
     totals: Counter = Counter()
     passes: Counter = Counter()
-    tested = 0
-    for source, sessions in by_source.items():
-        cls = temporal[source]
-        for session in sessions:
-            if len(session) < min_packets:
-                continue
-            tested += 1
-            targets = session.targets()
-            sections = {
-                "iid": bits_from_addresses(targets, take_bits=64,
-                                           skip_high=64),
-                "subnet": bits_from_addresses(
-                    targets, take_bits=64 - prefix_len,
-                    skip_high=prefix_len),
-            }
-            for section, bits in sections.items():
-                results = run_battery(bits)
-                for test, ok in results.passes().items():
-                    totals[(cls, section, test)] += 1
-                    if ok:
-                        passes[(cls, section, test)] += 1
+    long_sessions = np.flatnonzero(session_set.sizes() >= min_packets)
+    for session in long_sessions.tolist():
+        cls = temporal[sources[session_set.source_codes()[session]]]
+        dst_hi, dst_lo = _session_targets(session_set, session)
+        sections = {
+            "iid": bits_from_addresses(dst_hi, dst_lo, take_bits=64,
+                                       skip_high=64),
+            "subnet": bits_from_addresses(
+                dst_hi, dst_lo, take_bits=64 - prefix_len,
+                skip_high=prefix_len),
+        }
+        for section, bits in sections.items():
+            results = run_battery(bits)
+            for test, ok in results.passes().items():
+                totals[(cls, section, test)] += 1
+                if ok:
+                    passes[(cls, section, test)] += 1
     shares = {key: passes.get(key, 0) / count
               for key, count in totals.items()}
-    return Fig17Result(pass_shares=shares, sessions_tested=tested)
+    return Fig17Result(pass_shares=shares,
+                       sessions_tested=len(long_sessions))

@@ -62,8 +62,8 @@ def derive_guidance(analysis: CorpusAnalysis) -> GuidanceReport:
     recommendations = []
 
     # (i) own announcement vs silent subnet of a covering prefix
-    announced = len(corpus.packets("T1")) + len(corpus.packets("T2"))
-    silent = max(len(corpus.packets("T3")), 1)
+    announced = len(corpus.table("T1")) + len(corpus.table("T2"))
+    silent = max(len(corpus.table("T3")), 1)
     factor = announced / 2 / silent
     recommendations.append(Recommendation(
         key="announce",
@@ -74,8 +74,7 @@ def derive_guidance(analysis: CorpusAnalysis) -> GuidanceReport:
                  "packets of the silent covered subnet"))
 
     # (ii) number of announced prefixes over prefix size
-    sessions = analysis.sessions("T1", AggregationLevel.ADDR,
-                                 Phase.FULL).sessions
+    sessions = analysis.sessions("T1", AggregationLevel.ADDR, Phase.FULL)
     cumulative = sessions_per_prefix_cumulative(sessions, corpus.schedule)
     by_length: Counter = Counter()
     count_by_length: Counter = Counter()
@@ -105,8 +104,8 @@ def derive_guidance(analysis: CorpusAnalysis) -> GuidanceReport:
                  "sessions once announced"))
 
     # (iii) different attractors draw different scanners
-    t1_sources = {p.src for p in corpus.packets("T1")}
-    t2_sources = {p.src for p in corpus.packets("T2")}
+    t1_sources = corpus.table("T1").unique_source_addresses()
+    t2_sources = corpus.table("T2").unique_source_addresses()
     union = len(t1_sources | t2_sources)
     shared = len(t1_sources & t2_sources)
     exclusivity = 1 - shared / max(union, 1)
@@ -119,7 +118,7 @@ def derive_guidance(analysis: CorpusAnalysis) -> GuidanceReport:
                  "were exclusive to one attractor"))
 
     # (iv) active services draw scanners to neighboring space
-    reactive = len(corpus.packets("T4"))
+    reactive = len(corpus.table("T4"))
     factor = reactive / silent
     recommendations.append(Recommendation(
         key="react",

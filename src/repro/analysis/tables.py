@@ -16,6 +16,7 @@ from repro.analysis.context import CorpusAnalysis
 from repro.obs import traced
 from repro.analysis.report import Table, format_count, format_share
 from repro.core.aggregation import AggregationLevel
+from repro.core.columnar import distinct_rows, pair_counts
 from repro.core.heavy import find_heavy_hitters
 from repro.core.netclass import NetworkClass
 from repro.core.payloads import identify_tools
@@ -50,10 +51,10 @@ class Table2Result:
 def table2(analysis: CorpusAnalysis, phase: Phase = Phase.FULL) \
         -> Table2Result:
     """Table 2: per-protocol traffic across all telescopes."""
-    packets = [p for t in TELESCOPES
-               for p in analysis.corpus.phase_packets(t, phase)]
-    sessions = analysis.all_sessions(AggregationLevel.ADDR, phase)
-    stats = protocol_stats(packets, sessions)
+    stats = protocol_stats(
+        [analysis.corpus.phase_table(t, phase) for t in TELESCOPES],
+        [analysis.sessions(t, AggregationLevel.ADDR, phase)
+         for t in TELESCOPES])
     table = Table(
         title="Table 2: packets, sessions, and sources per protocol",
         columns=["Protocol", "Packets", "Pkt%", "Sessions", "Sess%",
@@ -98,8 +99,8 @@ def table3(analysis: CorpusAnalysis, phase: Phase = Phase.FULL) \
     """Table 3: addr6 target-type distribution (packets and sources).
 
     Runs columnar: targets classify once per *unique* IID through the
-    vectorized classifier, and per-source type sets reduce to one
-    ``np.unique`` over (src_hi, src_lo, type) triples.
+    vectorized classifier, and per-source type sets reduce to the
+    distinct (src_hi, src_lo, type) rows.
     """
     parts = [analysis.corpus.phase_table(t, phase) for t in TELESCOPES]
     dst_lo = np.concatenate([t.dst_lo for t in parts])
@@ -113,15 +114,9 @@ def table3(analysis: CorpusAnalysis, phase: Phase = Phase.FULL) \
     packet_counts: Counter = Counter({
         TYPE_ORDER[i]: int(c) for i, c in enumerate(per_code) if c})
 
-    triples = np.empty(total_packets, dtype=[
-        ("hi", np.uint64), ("lo", np.uint64), ("code", np.uint8)])
-    triples["hi"] = src_hi
-    triples["lo"] = src_lo
-    triples["code"] = codes
-    distinct = np.unique(triples)
-    total_sources = len(np.unique(distinct[["hi", "lo"]]))
-    per_source_code = np.bincount(distinct["code"],
-                                  minlength=len(TYPE_ORDER))
+    hi, lo, code = distinct_rows(src_hi, src_lo, codes)
+    total_sources = len(distinct_rows(hi, lo)[0])
+    per_source_code = np.bincount(code, minlength=len(TYPE_ORDER))
     source_counts: Counter = Counter({
         TYPE_ORDER[i]: int(c) for i, c in enumerate(per_source_code) if c})
     table = Table(
@@ -162,7 +157,8 @@ class Table4Result:
 def table4(analysis: CorpusAnalysis, phase: Phase = Phase.FULL,
            n: int = 5) -> Table4Result:
     """Table 4: top target ports per session (/64 source aggregation)."""
-    sessions = analysis.all_sessions(AggregationLevel.SUBNET, phase)
+    sessions = [analysis.sessions(t, AggregationLevel.SUBNET, phase)
+                for t in TELESCOPES]
     tcp = top_ports(sessions, Protocol.TCP, n)
     udp = top_ports(sessions, Protocol.UDP, n)
     table = Table(
@@ -219,17 +215,20 @@ def table5(analysis: CorpusAnalysis) -> Table5Result:
     packets: dict[str, int] = {}
     protocol_sources: dict[str, dict[Protocol, int]] = {}
     for telescope in TELESCOPES:
-        pkts = analysis.corpus.phase_packets(telescope, Phase.INITIAL)
-        packets[telescope] = len(pkts)
-        sources_128[telescope] = len({p.src for p in pkts})
-        sources_64[telescope] = len({p.src >> 64 for p in pkts})
-        asns[telescope] = len({p.src_asn for p in pkts if p.src_asn})
-        destinations[telescope] = len({p.dst for p in pkts})
-        per_protocol: dict[Protocol, set[int]] = {}
-        for p in pkts:
-            per_protocol.setdefault(p.protocol, set()).add(p.src)
-        protocol_sources[telescope] = {
-            proto: len(srcs) for proto, srcs in per_protocol.items()}
+        table = analysis.corpus.phase_table(telescope, Phase.INITIAL)
+        packets[telescope] = len(table)
+        sources_128[telescope] = len(
+            distinct_rows(table.src_hi, table.src_lo)[0])
+        sources_64[telescope] = len(np.unique(table.src_hi))
+        asns[telescope] = len(np.unique(table.src_asn[table.src_asn != 0]))
+        destinations[telescope] = len(
+            distinct_rows(table.dst_hi, table.dst_lo)[0])
+        protocol_sources[telescope] = {}
+        for protocol in Protocol:
+            rows = table.protocol == protocol
+            if rows.any():
+                protocol_sources[telescope][protocol] = len(
+                    distinct_rows(table.src_hi[rows], table.src_lo[rows])[0])
 
     table_a = Table(
         title="Table 5(a): telescope comparison, initial period",
@@ -291,20 +290,20 @@ class Table6Result:
 @traced("analysis.table6")
 def table6(analysis: CorpusAnalysis) -> Table6Result:
     """Table 6: temporal and network-selection classes (T1, split)."""
-    by_source = analysis.by_source("T1", AggregationLevel.ADDR, Phase.SPLIT)
+    session_set = analysis.split_sessions_t1()
     temporal = analysis.temporal_classes("T1", AggregationLevel.ADDR,
                                          Phase.SPLIT)
     network = analysis.network_classes()
     temporal_scanners: Counter = Counter(temporal.values())
     temporal_sessions: Counter = Counter()
-    for source, sessions in by_source.items():
-        temporal_sessions[temporal[source]] += len(sessions)
     network_scanners: Counter = Counter(network.values())
     network_sessions: Counter = Counter()
-    for source, sessions in by_source.items():
+    for source, count in zip(session_set.source_keys(),
+                             session_set.sessions_per_source().tolist()):
+        temporal_sessions[temporal[source]] += count
         cls = network.get(source)
         if cls is not None:
-            network_sessions[cls] += len(sessions)
+            network_sessions[cls] += count
 
     total_scanners = sum(temporal_scanners.values())
     total_sessions = sum(temporal_sessions.values())
@@ -358,9 +357,8 @@ class Table7Result:
 def table7(analysis: CorpusAnalysis) -> Table7Result:
     """Table 7: public scan tools identified via payloads and RDNS."""
     session_set = analysis.split_sessions_t1()
-    report = identify_tools(session_set.sessions,
-                            resolver=analysis.corpus.resolver)
-    total_scanners = len(session_set.sources())
+    report = identify_tools(session_set, resolver=analysis.corpus.resolver)
+    total_scanners = len(session_set.source_keys())
     total_sessions = len(session_set)
     table = Table(
         title="Table 7: identified scan tools (T1, split period)",
@@ -398,22 +396,26 @@ def table8(analysis: CorpusAnalysis) -> Table8Result:
     """Table 8: scanner origins by network type, with/without hitters."""
     registry = analysis.corpus.registry
     session_set = analysis.split_sessions_t1()
-    packets = analysis.corpus.phase_packets("T1", Phase.SPLIT)
-    hitters = {h.source for h in find_heavy_hitters({"T1": packets})}
+    table = analysis.corpus.phase_table("T1", Phase.SPLIT)
+    hitters = {h.source for h in find_heavy_hitters({"T1": table})}
 
     scanners: Counter = Counter()
     sessions: Counter = Counter()
-    for source, source_sessions in session_set.by_source().items():
+    for source, count in zip(session_set.source_keys(),
+                             session_set.sessions_per_source().tolist()):
         network_type = registry.network_type_of(source)
         scanners[network_type] += 1
-        sessions[network_type] += len(source_sessions)
+        sessions[network_type] += count
+    # one registry lookup per source, in order of its first packet
     packet_counts: Counter = Counter()
     packets_wo: Counter = Counter()
-    for p in packets:
-        network_type = registry.network_type_of(p.src)
-        packet_counts[network_type] += 1
-        if p.src not in hitters:
-            packets_wo[network_type] += 1
+    hi, lo, counts, first = pair_counts(table.src_hi, table.src_lo)
+    for i in np.argsort(first).tolist():
+        source = (int(hi[i]) << 64) | int(lo[i])
+        network_type = registry.network_type_of(source)
+        packet_counts[network_type] += int(counts[i])
+        if source not in hitters:
+            packets_wo[network_type] += int(counts[i])
 
     total_scanners = sum(scanners.values())
     total_sessions = sum(sessions.values())

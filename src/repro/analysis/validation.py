@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 
 from repro.analysis.context import CorpusAnalysis
 from repro.core.aggregation import AggregationLevel
+from repro.core.columnar import join_halves, pair_counts
 from repro.errors import AnalysisError
 from repro.experiment.driver import ExperimentResult
 from repro.experiment.phases import Phase
@@ -70,11 +71,12 @@ class ConfusionMatrix:
 
 def _source_owners(result: ExperimentResult, telescope: str) \
         -> dict[int, int]:
-    """Map observed /128 sources to the scanner_id that owns them."""
-    owners: dict[int, int] = {}
-    for packet in result.corpus.packets(telescope):
-        owners.setdefault(packet.src, packet.scanner_id)
-    return owners
+    """Map observed /128 sources to the scanner_id of their first
+    packet."""
+    table = result.corpus.table(telescope)
+    hi, lo, _, first = pair_counts(table.src_hi, table.src_lo)
+    return dict(zip(join_halves(hi, lo),
+                    table.scanner_id[first].tolist()))
 
 
 def validate_temporal(result: ExperimentResult,
@@ -125,8 +127,7 @@ def validate_tools(result: ExperimentResult) -> ConfusionMatrix:
     from repro.core.payloads import identify_tools
     analysis = CorpusAnalysis(result.corpus)
     session_set = analysis.split_sessions_t1()
-    report = identify_tools(session_set.sessions,
-                            resolver=result.corpus.resolver)
+    report = identify_tools(session_set, resolver=result.corpus.resolver)
     owners = _source_owners(result, "T1")
     by_id = {s.scanner_id: s for s in result.population}
     matrix = ConfusionMatrix()

@@ -26,6 +26,8 @@ import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
+
 from repro import obs
 from repro.analysis.context import CorpusAnalysis
 from repro.analysis import figures as figure_module
@@ -226,10 +228,11 @@ def cmd_run(args: argparse.Namespace) -> int:
     corpus = result.corpus
     for telescope in corpus.telescopes():
         with obs.span("analysis.summary", telescope=telescope):
-            packets = corpus.packets(telescope)
-            print(f"{telescope}: {len(packets):,} packets, "
-                  f"{len({p.src for p in packets}):,} sources, "
-                  f"{len({p.src_asn for p in packets if p.src_asn}):,} ASes")
+            table = corpus.table(telescope)
+            sources = len(table.unique_source_addresses())
+            asns = len(np.unique(table.src_asn[table.src_asn != 0]))
+            print(f"{telescope}: {len(table):,} packets, "
+                  f"{sources:,} sources, {asns:,} ASes")
     total = sum(result.stage_seconds.values())
     print(f"stages ({total:.1f}s of {result.wall_seconds:.1f}s):")
     for stage, seconds in result.stage_seconds.items():

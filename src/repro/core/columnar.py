@@ -18,10 +18,12 @@ in ``tests/test_core_columnar.py``):
   the per-source Python loop in :func:`repro.core.sessions.sessionize`;
 - phase slicing is a ``searchsorted`` on the time-sorted table.
 
-:class:`Session` objects produced here carry a :class:`PacketSlice` — a
-lazy sequence that materializes ``Packet`` objects only when a downstream
-classifier actually touches them, reusing the corpus' existing objects
-when the table was built from one.
+The analyses read every session through the row layout
+:func:`sessionize_table` keeps on its :class:`SessionSet`. The
+:class:`Session` objects produced here still carry a :class:`PacketSlice`
+— a lazy sequence that materializes ``Packet`` objects only when an
+object caller iterates it, reusing the corpus' existing objects when the
+table was built from one.
 """
 
 from __future__ import annotations
@@ -257,16 +259,27 @@ class PacketTable:
             if key_hi is None:
                 sources = set(np.unique(key_lo).tolist())
             else:
-                pairs = np.unique(
-                    np.stack((key_hi, key_lo), axis=1), axis=0)
-                sources = {(int(hi) << 64) | int(lo)
-                           for hi, lo in pairs.tolist()}
+                sources = set(join_halves(*distinct_rows(key_hi, key_lo)))
             sp.set(sources=len(sources))
             return sources
 
     def unique_source_addresses(self) -> set[int]:
         """Distinct 128-bit source addresses (no object materialization)."""
         return self.distinct_sources(AggregationLevel.ADDR)
+
+    def source_mask(self, sources) -> np.ndarray:
+        """Mask of the rows sent from any of the 128-bit ``sources``."""
+        his = np.array([s >> 64 for s in sources], dtype=np.uint64)
+        los = np.array([s & _MASK64 for s in sources], dtype=np.uint64)
+        mask = np.zeros(len(self), dtype=bool)
+        # both halves must occur among the sources before a row is
+        # matched pair by pair
+        rows = np.flatnonzero(np.isin(self.src_hi, his)
+                              & np.isin(self.src_lo, los))
+        row_hi, row_lo = self.src_hi[rows], self.src_lo[rows]
+        for hi, lo in zip(his, los):
+            mask[rows[(row_hi == hi) & (row_lo == lo)]] = True
+        return mask
 
     # -- persistence helpers ----------------------------------------------
 
@@ -317,6 +330,65 @@ class PacketTable:
                    src_asn=np.asarray(src_asn, dtype=np.uint32),
                    scanner_id=np.asarray(scanner_id, dtype=np.int64),
                    payload_id=payload_id, payloads=payloads)
+
+
+def pair_counts(hi: np.ndarray, lo: np.ndarray) \
+        -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Group rows by their (hi, lo) pair, e.g. a 128-bit address.
+
+    Returns the distinct pairs in ascending order, each one's row count
+    and its first row. Runs of rows repeating the row before them are
+    collapsed first (a source's packets arrive in bursts), then one
+    stable lexsort and an adjacent-difference mask find the groups.
+    """
+    n = len(hi)
+    if n == 0:
+        empty = np.empty(0, dtype=np.int64)
+        return hi[:0], lo[:0], empty, empty
+    firsts = np.flatnonzero(row_changes(hi, lo))
+    lengths = np.diff(firsts, append=n)
+    order = np.lexsort((lo[firsts], hi[firsts]))
+    firsts, lengths = firsts[order], lengths[order]
+    run_hi, run_lo = hi[firsts], lo[firsts]
+    starts = np.flatnonzero(row_changes(run_hi, run_lo))
+    return (run_hi[starts], run_lo[starts],
+            np.add.reduceat(lengths, starts), firsts[starts])
+
+
+def row_changes(*columns: np.ndarray) -> np.ndarray:
+    """Mask of the rows that differ from the row before them in any
+    column (the first row always does)."""
+    new = np.zeros(len(columns[0]), dtype=bool)
+    new[:1] = True
+    for column in columns:
+        new[1:] |= column[1:] != column[:-1]
+    return new
+
+
+def distinct_rows(*columns: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The distinct rows of equal-length columns, sorted by the first
+    column, then the next: drop rows repeating the row before them, one
+    lexsort, one adjacent-difference mask."""
+    if not len(columns[0]):
+        return columns
+    keep = row_changes(*columns)
+    columns = tuple(column[keep] for column in columns)
+    order = np.lexsort(columns[::-1])
+    columns = tuple(column[order] for column in columns)
+    keep = row_changes(*columns)
+    return tuple(column[keep] for column in columns)
+
+
+def first_arrivals(key_hi: np.ndarray, key_lo: np.ndarray,
+                   time: np.ndarray) -> np.ndarray:
+    """The earliest ``time`` of each distinct (key_hi, key_lo) pair."""
+    order = np.lexsort((time, key_lo, key_hi))
+    return time[order][row_changes(key_hi[order], key_lo[order])]
+
+
+def join_halves(hi: np.ndarray, lo: np.ndarray) -> list[int]:
+    """The 128-bit integers whose halves the two columns hold."""
+    return [(h << 64) | l for h, l in zip(hi.tolist(), lo.tolist())]
 
 
 #: Column names of one packet batch, in canonical order.
@@ -688,6 +760,9 @@ def sessionize_table(table: PacketTable, telescope: str = "",
     result = SessionSet(telescope=telescope, level=level, timeout=timeout)
     n = len(table)
     if n == 0:
+        empty = np.empty(0, dtype=np.int64)
+        result.table, result.rows = table, empty
+        result.bounds, result.run_of = np.zeros(1, dtype=np.int64), empty
         return result
     with obs.span("columnar.sessionize", telescope=telescope,
                   level=level.name, packets=n) as obs_span:
@@ -730,8 +805,11 @@ def _sessionize_into(result: SessionSet, table: PacketTable, telescope: str,
     result.table, result.rows = table, order
     result.bounds, result.run_of = bounds, session_order
     firsts_sorted = firsts[session_order]
+    ends_sorted = bounds[1:][session_order]
+    starts, ends = t[firsts_sorted], t[ends_sorted - 1]
+    result._columns["starts"] = starts
     lo_list = firsts_sorted.tolist()
-    hi_list = bounds[1:][session_order].tolist()
+    hi_list = ends_sorted.tolist()
     kl_firsts = kl[firsts_sorted].tolist()
     kh_firsts = kh[firsts_sorted].tolist() if key_hi is not None else None
 
@@ -754,7 +832,8 @@ def _sessionize_into(result: SessionSet, table: PacketTable, telescope: str,
     if gc_was_enabled:
         gc.disable()
     try:
-        for source, lo, hi in zip(sources, lo_list, hi_list):
+        for source, lo, hi, start, end in zip(
+                sources, lo_list, hi_list, starts.tolist(), ends.tolist()):
             packets = new_slice(PacketSlice)
             packets._table = table
             packets._order = order
@@ -765,6 +844,8 @@ def _sessionize_into(result: SessionSet, table: PacketTable, telescope: str,
             session.source = source
             session.telescope = telescope
             session.packets = packets
+            session.start = start
+            session.end = end
             append(session)
     finally:
         if gc_was_enabled:

@@ -8,12 +8,13 @@ sessions, which is why the analyses are session-centric.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 
+import numpy as np
+
+from repro.core.columnar import PacketTable, pair_counts
 from repro.core.sessions import SessionSet
 from repro.errors import AnalysisError
-from repro.telescope.packet import Packet
 
 #: Paper threshold: >10% of one telescope's packets.
 DEFAULT_THRESHOLD = 0.10
@@ -29,24 +30,29 @@ class HeavyHitter:
     share: float
 
 
-def find_heavy_hitters(packets_by_telescope: dict[str, list[Packet]],
+def find_heavy_hitters(tables_by_telescope: dict[str, PacketTable],
                        threshold: float = DEFAULT_THRESHOLD) \
         -> list[HeavyHitter]:
-    """All (source, telescope) pairs above the packet-share threshold."""
+    """All (source, telescope) pairs above the packet-share threshold.
+
+    Sources with equal packet counts rank in order of their first packet.
+    """
     if not 0 < threshold < 1:
         raise AnalysisError(f"threshold must be in (0,1), got {threshold}")
     hitters: list[HeavyHitter] = []
-    for telescope, packets in packets_by_telescope.items():
-        total = len(packets)
+    for telescope, table in tables_by_telescope.items():
+        total = len(table)
         if total == 0:
             continue
-        per_source: Counter = Counter(p.src for p in packets)
-        for source, count in per_source.most_common():
+        hi, lo, counts, first = pair_counts(table.src_hi, table.src_lo)
+        for i in np.lexsort((first, -counts)).tolist():
+            count = int(counts[i])
             share = count / total
             if share <= threshold:
                 break
-            hitters.append(HeavyHitter(source=source, telescope=telescope,
-                                       packets=count, share=share))
+            hitters.append(HeavyHitter(
+                source=(int(hi[i]) << 64) | int(lo[i]), telescope=telescope,
+                packets=count, share=share))
     hitters.sort(key=lambda h: (-h.packets, h.telescope))
     return hitters
 
@@ -60,23 +66,25 @@ class HeavyHitterImpact:
     session_share: float
 
 
-def heavy_hitter_impact(packets_by_telescope: dict[str, list[Packet]],
+def heavy_hitter_impact(tables_by_telescope: dict[str, PacketTable],
                         session_sets: dict[str, SessionSet],
                         threshold: float = DEFAULT_THRESHOLD) \
         -> HeavyHitterImpact:
     """Packet vs session share of all heavy hitters combined."""
-    hitters = find_heavy_hitters(packets_by_telescope, threshold)
+    hitters = find_heavy_hitters(tables_by_telescope, threshold)
     hitter_sources = {h.source for h in hitters}
-    total_packets = sum(len(p) for p in packets_by_telescope.values())
+    total_packets = sum(len(t) for t in tables_by_telescope.values())
     total_sessions = sum(len(s) for s in session_sets.values())
     if total_packets == 0 or total_sessions == 0:
         raise AnalysisError("empty corpus")
     hh_packets = sum(
-        1 for packets in packets_by_telescope.values()
-        for p in packets if p.src in hitter_sources)
+        int(np.count_nonzero(table.source_mask(hitter_sources)))
+        for table in tables_by_telescope.values())
     hh_sessions = sum(
-        1 for session_set in session_sets.values()
-        for s in session_set if s.source in hitter_sources)
+        count for session_set in session_sets.values()
+        for source, count in zip(session_set.source_keys(),
+                                 session_set.sessions_per_source().tolist())
+        if source in hitter_sources)
     return HeavyHitterImpact(
         num_hitters=len({(h.source, h.telescope) for h in hitters}),
         packet_share=hh_packets / total_packets,

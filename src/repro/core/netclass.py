@@ -21,7 +21,8 @@ import numpy as np
 
 from repro.bgp.controller import AnnouncementCycle
 from repro.core.dbscan import NOISE, dbscan
-from repro.core.sessions import Session
+from repro.core.reactivity import prefix_hits
+from repro.core.sessions import SessionSet
 from repro.errors import ClassificationError
 from repro.net.prefix import Prefix
 
@@ -33,27 +34,21 @@ class NetworkClass(enum.Enum):
     INCONSISTENT = "inconsistent"
 
 
-def sessions_per_prefix(sessions: list[Session],
-                        cycle: AnnouncementCycle) -> dict[Prefix, int]:
-    """Count, per announced prefix, the sessions that touched it.
+def sessions_per_prefix(session_set: SessionSet,
+                        cycle: AnnouncementCycle) -> np.ndarray:
+    """Count, per source and announced prefix, the sessions that touched
+    the prefix.
 
-    A session counts for a prefix when at least one of its packets targets
-    an address inside that prefix (most-specific match).
+    Rows follow :meth:`SessionSet.source_keys`, columns
+    ``cycle.prefixes``. A session counts for a prefix when it starts in
+    the cycle and at least one of its packets targets an address inside
+    that prefix (most-specific match).
     """
-    counts: dict[Prefix, int] = {p: 0 for p in cycle.prefixes}
-    ordered = sorted(cycle.prefixes, key=lambda p: -p.length)
-    for session in sessions:
-        if not (cycle.announce_time <= session.start < cycle.withdraw_time):
-            continue
-        touched: set[Prefix] = set()
-        for dst in session.distinct_targets():
-            for prefix in ordered:
-                if prefix.contains_address(dst):
-                    touched.add(prefix)
-                    break
-        for prefix in touched:
-            counts[prefix] += 1
-    return counts
+    sessions, slots = prefix_hits(session_set, cycle)
+    width = len(cycle.prefixes)
+    counts = np.bincount(session_set.source_codes()[sessions] * width + slots,
+                         minlength=len(session_set.source_keys()) * width)
+    return counts.reshape(-1, width)
 
 
 def classify_cycle(counts: dict[Prefix, int],
@@ -101,22 +96,16 @@ def classify_cycle(counts: dict[Prefix, int],
 MAJORITY_SHARE = 0.7
 
 
-def classify_scanner(sessions: list[Session],
-                     cycles: list[AnnouncementCycle]) -> NetworkClass:
-    """Aggregate per-cycle verdicts into the scanner's class.
+def classify_scanner(verdicts: list[NetworkClass | None]) -> NetworkClass:
+    """Aggregate a scanner's per-cycle verdicts (``None`` where it was
+    inactive) into its class.
 
     A scanner keeps a stable class when at least :data:`MAJORITY_SHARE`
     of its active cycles agree; otherwise it is inconsistent. (Requiring
     unanimity would misfile nearly every long-lived scanner over 16
     cycles, while the paper observed only 0.55% inconsistent scanners.)
     """
-    if not cycles:
-        raise ClassificationError("network classification needs cycles")
-    verdicts: list[NetworkClass] = []
-    for cycle in cycles:
-        verdict = classify_cycle(sessions_per_prefix(sessions, cycle))
-        if verdict is not None:
-            verdicts.append(verdict)
+    verdicts = [verdict for verdict in verdicts if verdict is not None]
     if not verdicts:
         raise ClassificationError("scanner has no sessions in any cycle")
     counts: dict[NetworkClass, int] = {}
@@ -128,15 +117,20 @@ def classify_scanner(sessions: list[Session],
     return NetworkClass.INCONSISTENT
 
 
-def classify_all(by_source: dict[int, list[Session]],
+def classify_all(session_set: SessionSet,
                  cycles: list[AnnouncementCycle]) \
         -> dict[int, NetworkClass]:
-    """Network-selection class per source for the split period."""
+    """Network-selection class per source for the split period, keyed
+    in :meth:`SessionSet.source_keys` order; sources inactive in every
+    split cycle are left out."""
     split_cycles = [c for c in cycles if c.index > 0]
+    per_cycle = [sessions_per_prefix(session_set, cycle).tolist()
+                 for cycle in split_cycles]
     result: dict[int, NetworkClass] = {}
-    for source, sessions in by_source.items():
-        try:
-            result[source] = classify_scanner(sessions, split_cycles)
-        except ClassificationError:
-            continue  # inactive during the split period
+    for code, source in enumerate(session_set.source_keys()):
+        verdicts = [
+            classify_cycle(dict(zip(cycle.prefixes, counts[code])))
+            for cycle, counts in zip(split_cycles, per_cycle)]
+        if any(verdict is not None for verdict in verdicts):
+            result[source] = classify_scanner(verdicts)
     return result

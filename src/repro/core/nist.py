@@ -35,31 +35,30 @@ def erfc(x):
     return np.asarray(_erfc(x), dtype=np.float64)
 
 
-def bits_from_addresses(addresses, take_bits: int = 64,
+def bits_from_addresses(addr_hi: np.ndarray, addr_lo: np.ndarray,
+                        take_bits: int = 64,
                         skip_high: int = 0) -> np.ndarray:
     """Flatten address sections into a bit array.
 
-    For each address, ``skip_high`` most-significant bits are discarded and
-    the following ``take_bits`` bits are appended. Appendix B tests the IID
-    (last 64 bits: ``skip_high=64, take_bits=64``) and the subnet section
-    separately.
+    The addresses are given as their upper and lower 64-bit halves. For
+    each address, ``skip_high`` most-significant bits are discarded and
+    the following ``take_bits`` bits are appended. Appendix B tests the
+    IID (last 64 bits: ``skip_high=64, take_bits=64``) and the subnet
+    section separately.
     """
     if take_bits < 1 or skip_high < 0 or take_bits + skip_high > 128:
         raise AnalysisError(
             f"invalid bit section take={take_bits} skip={skip_high}")
-    n = len(addresses)
+    n = len(addr_hi)
     if n == 0:
         return np.empty(0, dtype=np.int8)
-    # one 16-byte big-endian blob per section, then a single unpackbits —
-    # replaces the former per-bit Python loop (``take_bits`` iterations
-    # per address) with two int ops per address plus vectorized bit work
-    shift = 128 - skip_high - take_bits
-    mask = (1 << take_bits) - 1
-    raw = b"".join(((addr >> shift) & mask).to_bytes(16, "big")
-                   for addr in addresses)
-    sections = np.frombuffer(raw, dtype=np.uint8).reshape(n, 16)
-    bits = np.unpackbits(sections, axis=1)  # (n, 128), MSB first
-    return bits[:, 128 - take_bits:].ravel().astype(np.int8)
+    # both halves big-endian side by side: each row is the address's 16
+    # bytes, most significant first, so one unpackbits yields its bits
+    halves = np.empty((n, 2), dtype=">u8")
+    halves[:, 0] = addr_hi
+    halves[:, 1] = addr_lo
+    bits = np.unpackbits(halves.view(np.uint8), axis=1)  # (n, 128)
+    return bits[:, skip_high:skip_high + take_bits].ravel().astype(np.int8)
 
 
 def frequency_test(bits: np.ndarray) -> float:

@@ -9,10 +9,13 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from typing import Sequence
 
+import numpy as np
+
+from repro.core.columnar import PacketTable, row_changes
 from repro.errors import AnalysisError
 from repro.sim.clock import DAY
-from repro.telescope.packet import Packet
 
 
 @dataclass(frozen=True, slots=True)
@@ -27,13 +30,6 @@ class UpSetData:
     def exclusive(self, *names: str) -> int:
         """Items seen at exactly the given telescopes."""
         return self.intersections.get(tuple(sorted(names)), 0)
-
-    def exclusive_share(self, name: str) -> float:
-        """Share of a telescope's items seen only there."""
-        size = self.set_sizes.get(name, 0)
-        if size == 0:
-            return 0.0
-        return self.exclusive(name) / size
 
 
 def upset(sets: dict[str, set]) -> UpSetData:
@@ -79,23 +75,86 @@ class DayOverlap:
         return self.same_day / self.total if self.total else 0.0
 
 
-def day_overlap(packets_a: list[Packet], packets_b: list[Packet],
-                until: float | None = None) -> DayOverlap:
-    """Overlapping sources between two telescopes, split by day alignment.
+@dataclass(frozen=True, slots=True)
+class SourceDays:
+    """The distinct (source, day) pairs of one capture, sorted by source
+    then day, with each pair's first arrival time and packet count."""
+
+    src_hi: np.ndarray
+    src_lo: np.ndarray
+    day: np.ndarray
+    first_time: np.ndarray
+    packets: np.ndarray
+
+
+def source_days(table: PacketTable) -> SourceDays:
+    """Group a capture's packets by source and calendar day.
+
+    Runs of rows from one source on one day collapse first, so the sort
+    sees one entry per burst rather than per packet."""
+    hi, lo, time = table.src_hi, table.src_lo, table.time
+    day = np.floor_divide(time, DAY).astype(np.int64)
+    if not len(time):
+        return SourceDays(src_hi=hi, src_lo=lo, day=day, first_time=time,
+                          packets=day)
+    firsts = np.flatnonzero(row_changes(hi, lo, day))
+    run_time = np.minimum.reduceat(time, firsts)
+    run_packets = np.diff(firsts, append=len(time))
+    hi, lo, day = hi[firsts], lo[firsts], day[firsts]
+    order = np.lexsort((day, lo, hi))
+    hi, lo, day = hi[order], lo[order], day[order]
+    starts = np.flatnonzero(row_changes(hi, lo, day))
+    return SourceDays(
+        src_hi=hi[starts], src_lo=lo[starts], day=day[starts],
+        first_time=np.minimum.reduceat(run_time[order], starts),
+        packets=np.add.reduceat(run_packets[order], starts))
+
+
+def _matched(keys_a: tuple, keys_b: tuple) -> tuple[np.ndarray, np.ndarray]:
+    """Indices (into a, into b) of the keys both distinct key sets hold."""
+    n_a = len(keys_a[0])
+    merged = [np.concatenate((a, b)) for a, b in zip(keys_a, keys_b)]
+    side = np.repeat((0, 1), (n_a, len(keys_b[0])))
+    order = np.lexsort((side, *reversed(merged)))
+    # each side's keys are distinct: an unchanged key is an (a, b) pair
+    pairs = np.flatnonzero(~row_changes(*(c[order] for c in merged))) - 1
+    return order[pairs], order[pairs + 1] - n_a
+
+
+def _per_source(hi: np.ndarray, lo: np.ndarray, values: np.ndarray) \
+        -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(hi, lo, minimum of ``values``) per source of rows sorted by
+    source."""
+    starts = np.flatnonzero(row_changes(hi, lo))
+    if not len(starts):
+        return hi, lo, values
+    return hi[starts], lo[starts], np.minimum.reduceat(values, starts)
+
+
+def day_overlap(table_a: PacketTable, table_b: PacketTable,
+                cutoffs: Sequence[float] = (np.inf,)) -> list[DayOverlap]:
+    """Overlapping sources between two telescopes, split by day alignment,
+    counting only packets before each cutoff: one result per cutoff.
 
     A source counts as *same-day* if it appeared at both telescopes on at
-    least one common calendar day (before ``until`` when given).
+    least one common calendar day. It is shared by a cutoff once it has
+    reached both telescopes, and same-day once both reached it on one
+    common day: each is a time per source, so one pass per capture
+    serves every cutoff.
     """
-    def days_per_source(packets: list[Packet]) -> dict[int, set[int]]:
-        days: dict[int, set[int]] = {}
-        for p in packets:
-            if until is not None and p.time >= until:
-                continue
-            days.setdefault(p.src, set()).add(int(p.time // DAY))
-        return days
-
-    days_a = days_per_source(packets_a)
-    days_b = days_per_source(packets_b)
-    shared = set(days_a) & set(days_b)
-    same = sum(1 for src in shared if days_a[src] & days_b[src])
-    return DayOverlap(same_day=same, different_day=len(shared) - same)
+    days_a, days_b = source_days(table_a), source_days(table_b)
+    first_a = _per_source(days_a.src_hi, days_a.src_lo, days_a.first_time)
+    first_b = _per_source(days_b.src_hi, days_b.src_lo, days_b.first_time)
+    in_a, in_b = _matched(first_a[:2], first_b[:2])
+    shared_at = np.sort(np.maximum(first_a[2][in_a], first_b[2][in_b]))
+    in_a, in_b = _matched((days_a.src_hi, days_a.src_lo, days_a.day),
+                          (days_b.src_hi, days_b.src_lo, days_b.day))
+    same_at = np.sort(_per_source(
+        days_a.src_hi[in_a], days_a.src_lo[in_a],
+        np.maximum(days_a.first_time[in_a], days_b.first_time[in_b]))[2])
+    result = []
+    for cutoff in cutoffs:
+        shared = int(np.searchsorted(shared_at, cutoff, side="left"))
+        same = int(np.searchsorted(same_at, cutoff, side="left"))
+        result.append(DayOverlap(same_day=same, different_day=shared - same))
+    return result

@@ -13,8 +13,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.core.columnar import NO_PAYLOAD
 from repro.core.dbscan import NOISE, dbscan
-from repro.core.sessions import Session
+from repro.core.sessions import SessionSet
 from repro.dns.resolver import Resolver
 from repro.scanners.tools import TOOL_SIGNATURES, ToolSignature
 
@@ -93,38 +94,63 @@ def _rdns_label(name: str) -> str:
     return ""
 
 
-def identify_tools(sessions: list[Session],
+def identify_tools(session_set: SessionSet,
                    resolver: Resolver | None = None,
                    eps: float = DEFAULT_EPS,
                    max_payloads_per_session: int = 3,
                    max_cluster_samples: int = 1500) -> ToolReport:
-    """Run the full §5.4 pipeline over a session list.
+    """Run the full §5.4 pipeline over a session set.
 
-    Per-source attribution scans every session's payloads (linear).
+    Per-source attribution reads the first ``max_payloads_per_session``
+    payloads of every session, matching each distinct payload once.
     DBSCAN clustering is quadratic in the sample count, so at most
-    ``max_cluster_samples`` payload samples enter the clustering — which
-    matches the paper's manual per-cluster analysis of representative
-    payloads. A source's tool is the majority label over its payload
-    samples, with RDNS hints as tie-breaker and fallback.
+    ``max_cluster_samples`` of those payloads (in session order) enter
+    the clustering — which matches the paper's manual per-cluster
+    analysis of representative payloads. A source's tool is the majority
+    label over its payload samples (ties: the label seen first), with
+    RDNS hints as fallback.
     """
-    samples: list[bytes] = []
-    votes: dict[int, Counter] = {}
-    for session in sessions:
-        taken = 0
-        for packet in session.packets:
-            if not packet.payload:
-                continue
-            tool = _match_tool(packet.payload)
-            if tool is not None:
-                votes.setdefault(session.source, Counter())[tool.name] += 1
-            if len(samples) < max_cluster_samples:
-                samples.append(packet.payload)
-            taken += 1
-            if taken >= max_payloads_per_session:
-                break
     report = ToolReport()
+    table = session_set.table
+    rows, _ = session_set.session_rows()
+    sources = session_set.source_keys()
+    codes = session_set.source_codes()
+    payload_id = table.payload_id[rows]
+    with_payload = payload_id != NO_PAYLOAD
+    empty = [i for i in np.unique(payload_id[with_payload]).tolist()
+             if not table.payloads[i]]
+    if empty:
+        with_payload &= ~np.isin(payload_id, empty)
+    with_payload = np.flatnonzero(with_payload)
+    session_of = session_set.row_sessions()[with_payload]
+    # rank of each payload within its session: rows are session-ordered
+    rank = np.arange(len(session_of)) \
+        - np.searchsorted(session_of, session_of, side="left")
+    taken = rank < max_payloads_per_session
+    sample_ids = payload_id[with_payload[taken]]
+    distinct_ids = np.unique(sample_ids)
+    tools = [_match_tool(table.payloads[i]) for i in distinct_ids.tolist()]
+    names = sorted({tool.name for tool in tools if tool is not None})
+    width = max(len(names), 1)
+    tool_code = np.array([names.index(tool.name) if tool else -1
+                          for tool in tools], dtype=np.int64)[
+        np.searchsorted(distinct_ids, sample_ids)]
+
+    # votes per (source, tool), counted in order of each pair's first vote
+    voted = tool_code >= 0
+    keys, first, counts = np.unique(
+        codes[session_of[taken][voted]] * width + tool_code[voted],
+        return_index=True, return_counts=True)
+    votes: dict[int, Counter] = {}
+    for i in np.argsort(first).tolist():
+        code, tool = divmod(int(keys[i]), width)
+        votes.setdefault(sources[code], Counter())[names[tool]] = \
+            int(counts[i])
     for source, counter in votes.items():
         report.source_tools[source] = counter.most_common(1)[0][0]
+
+    samples = [table.payloads[i]
+               for i in sample_ids[:max_cluster_samples].tolist()]
     if samples:
         labels = cluster_payloads(samples, eps=eps)
         by_label: dict[int, list[int]] = {}
@@ -143,28 +169,25 @@ def identify_tools(sessions: list[Session],
 
     # RDNS fallback/augmentation for sources without payload matches
     if resolver is not None:
-        for session in sessions:
-            if session.source in report.source_tools:
-                continue
-            name = resolver.reverse(session.source)
-            if name:
-                label = _rdns_label(name)
-                if label:
-                    report.source_tools[session.source] = label
+        unattributed = [source for source in sources
+                        if source not in report.source_tools]
+        resolved = resolver.reverse_batch(unattributed)
+        for source in unattributed:
+            label = _rdns_label(resolved[source]) \
+                if source in resolved else ""
+            if label:
+                report.source_tools[source] = label
 
     # per-tool source/session tallies
-    session_tools: dict[int, str] = {}
-    for index, session in enumerate(sessions):
-        tool = report.source_tools.get(session.source)
-        if tool:
-            session_tools[index] = tool
+    sessions_of = dict(zip(sources,
+                           session_set.sessions_per_source().tolist()))
     per_tool_sources: dict[str, set[int]] = {}
     per_tool_sessions: dict[str, int] = {}
     for source, tool in report.source_tools.items():
         per_tool_sources.setdefault(tool, set()).add(source)
-    for index, tool in session_tools.items():
-        per_tool_sessions[tool] = per_tool_sessions.get(tool, 0) + 1
+        per_tool_sessions[tool] = per_tool_sessions.get(tool, 0) \
+            + sessions_of[source]
     report.per_tool = {
-        tool: (len(sources), per_tool_sessions.get(tool, 0))
-        for tool, sources in per_tool_sources.items()}
+        tool: (len(tool_sources), per_tool_sessions[tool])
+        for tool, tool_sources in per_tool_sources.items()}
     return report

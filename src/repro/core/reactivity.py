@@ -13,46 +13,110 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from typing import Sequence
+
+import numpy as np
 
 from repro.bgp.controller import AnnouncementCycle
-from repro.core.sessions import Session
+from repro.core.columnar import PacketTable, distinct_rows, first_arrivals
+from repro.core.sessions import Session, SessionSet
 from repro.errors import AnalysisError
+from repro.net.lpm import NO_MATCH, build_matcher
 from repro.net.prefix import Prefix
 from repro.sim.clock import DAY
 from repro.telescope.packet import Packet
 
 
-def most_specific_for(dst: int, cycle: AnnouncementCycle) -> Prefix | None:
-    """Most-specific prefix of a cycle covering ``dst``."""
-    best: Prefix | None = None
-    for prefix in cycle.prefixes:
-        if prefix.contains_address(dst):
-            if best is None or prefix.length > best.length:
-                best = prefix
-    return best
+def most_specific_slots(cycle: AnnouncementCycle, dst_hi: np.ndarray,
+                        dst_lo: np.ndarray) -> np.ndarray:
+    """Per address, the index into ``cycle.prefixes`` of the most-specific
+    prefix covering it, or :data:`~repro.net.lpm.NO_MATCH`."""
+    matcher = build_matcher([(prefix, slot)
+                             for slot, prefix in enumerate(cycle.prefixes)])
+    return matcher.lookup(dst_hi, dst_lo)
 
 
-def sessions_per_prefix_cumulative(sessions: list[Session],
+def cycle_sessions(session_set: SessionSet,
+                   cycle: AnnouncementCycle) -> tuple[int, int]:
+    """The range ``[lo, hi)`` of a set's sessions that start in the cycle:
+    sessions are ordered by start, so they are one slice."""
+    lo, hi = np.searchsorted(session_set.starts(),
+                             (cycle.announce_time, cycle.withdraw_time))
+    return int(lo), int(hi)
+
+
+def prefix_hits(session_set: SessionSet, cycle: AnnouncementCycle) \
+        -> tuple[np.ndarray, np.ndarray]:
+    """(sessions, slots): each session starting in the cycle, paired with
+    each announced prefix (an index into ``cycle.prefixes``) that is the
+    most-specific match of one of its targets; sorted by session, then
+    slot."""
+    first, last = cycle_sessions(session_set, cycle)
+    rows, offsets = session_set.session_rows()
+    span = rows[offsets[first]:offsets[last]]
+    table = session_set.table
+    slots = most_specific_slots(cycle, table.dst_hi[span],
+                                table.dst_lo[span]).astype(np.int64)
+    matched = slots != NO_MATCH
+    sessions = session_set.row_sessions()[offsets[first]:offsets[last]]
+    keys = np.unique(sessions[matched] * len(cycle.prefixes)
+                     + slots[matched])
+    return np.divmod(keys, len(cycle.prefixes))
+
+
+def _touched_in_set_order(session_set: SessionSet, session: int,
+                          cycle: AnnouncementCycle) -> list[Prefix]:
+    """The prefixes one session touched in the cycle, in the order a
+    Python ``set`` of them iterates when it is filled target by target
+    from the ``set`` of the session's targets."""
+    rows, offsets = session_set.session_rows()
+    rows = rows[offsets[session]:offsets[session + 1]]
+    table = session_set.table
+    slots = most_specific_slots(cycle, table.dst_hi[rows],
+                                table.dst_lo[rows]).tolist()
+    targets = [(hi << 64) | lo for hi, lo in zip(table.dst_hi[rows].tolist(),
+                                                table.dst_lo[rows].tolist())]
+    slot_of = dict(zip(targets, slots))
+    touched: set[Prefix] = set()
+    for dst in set(targets):
+        if slot_of[dst] != NO_MATCH:
+            touched.add(cycle.prefixes[slot_of[dst]])
+    return list(touched)
+
+
+def sessions_per_prefix_cumulative(session_set: SessionSet,
                                    cycles: list[AnnouncementCycle]) \
         -> dict[Prefix, list[int]]:
     """Per-prefix cumulative session counts per cycle (Fig. 10 series).
 
     A session counts for the most-specific prefix covering any of its
-    targets during the cycle that contains its start.
+    targets during the cycle that contains its start. Prefixes are keyed
+    in the order a pass over the cycles, then their sessions, then each
+    session's set of touched prefixes first meets them; only the first
+    session to touch two or more new prefixes is looked at row by row.
     """
     per_cycle: dict[Prefix, Counter] = {}
     for cycle in cycles:
-        for session in sessions:
-            if not (cycle.announce_time <= session.start
-                    < cycle.withdraw_time):
+        sessions, slots = prefix_hits(session_set, cycle)
+        if not len(slots):
+            continue
+        counts = np.bincount(slots, minlength=len(cycle.prefixes))
+        first = np.full(len(cycle.prefixes), len(session_set))
+        np.minimum.at(first, slots, sessions)
+        introduced: dict[int, list[int]] = {}
+        for slot in np.argsort(first, kind="stable").tolist():
+            if counts[slot] and cycle.prefixes[slot] not in per_cycle:
+                introduced.setdefault(int(first[slot]), []).append(slot)
+        for session, group in introduced.items():
+            if len(group) == 1:
+                per_cycle[cycle.prefixes[group[0]]] = Counter()
                 continue
-            touched: set[Prefix] = set()
-            for dst in session.distinct_targets():
-                prefix = most_specific_for(dst, cycle)
-                if prefix is not None:
-                    touched.add(prefix)
-            for prefix in touched:
-                per_cycle.setdefault(prefix, Counter())[cycle.index] += 1
+            members = {cycle.prefixes[slot] for slot in group}
+            for prefix in _touched_in_set_order(session_set, session, cycle):
+                if prefix in members:
+                    per_cycle[prefix] = Counter()
+        for slot in np.flatnonzero(counts).tolist():
+            per_cycle[cycle.prefixes[slot]][cycle.index] += int(counts[slot])
     result: dict[Prefix, list[int]] = {}
     indices = [c.index for c in cycles]
     for prefix, counter in per_cycle.items():
@@ -115,34 +179,24 @@ class CycleActivity:
     sessions: int
 
 
-def cycle_activity(sessions: list[Session],
+def cycle_activity(session_sets: Sequence[SessionSet],
                    cycles: list[AnnouncementCycle]) -> list[CycleActivity]:
-    """Per-cycle distinct sources and session counts."""
+    """Per-cycle distinct sources and session counts over all the sets;
+    a source seen at several telescopes counts once."""
     result = []
     for cycle in cycles:
-        in_cycle = [s for s in sessions
-                    if cycle.announce_time <= s.start < cycle.withdraw_time]
+        his, los = [], []
+        for session_set in session_sets:
+            lo, hi = cycle_sessions(session_set, cycle)
+            source_hi, source_lo = session_set.source_columns()
+            his.append(source_hi[lo:hi])
+            los.append(source_lo[lo:hi])
+        hi, lo = np.concatenate(his), np.concatenate(los)
         result.append(CycleActivity(
             cycle_index=cycle.index,
-            sources=len({s.source for s in in_cycle}),
-            sessions=len(in_cycle)))
+            sources=len(distinct_rows(hi, lo)[0]),
+            sessions=len(hi)))
     return result
-
-
-def growth_factor(activity: list[CycleActivity],
-                  attr: str = "sources") -> float:
-    """Average relative growth from the first to the last active cycle.
-
-    Compares the mean of the last quarter of cycles against the first
-    active cycle (+2.75 == +275%).
-    """
-    values = [getattr(a, attr) for a in activity if a.cycle_index > 0]
-    values = [v for v in values if v > 0]
-    if len(values) < 2:
-        raise AnalysisError("not enough active cycles for a growth factor")
-    baseline = values[0]
-    tail = values[-max(1, len(values) // 4):]
-    return sum(tail) / len(tail) / baseline - 1.0
 
 
 def baseline_split_growth(sessions: list[Session],
@@ -204,21 +258,34 @@ def live_monitors(packets: list[Packet], cycles: list[AnnouncementCycle],
             if len(delays) >= 2 and all(d <= within for d in delays)}
 
 
-def new_source_prefixes_per_day(packets: list[Packet],
+def new_source_prefixes_per_day(tables: Sequence[PacketTable],
                                 start: float, end: float,
-                                prefix_shift: int = 80) \
-        -> list[int]:
-    """Daily count of newly seen source /48 prefixes (Fig. 3 series)."""
+                                prefix_shift: int = 80) -> list[int]:
+    """Daily count of newly seen source /48 prefixes (Fig. 3 series).
+
+    A prefix (the source address shifted right by ``prefix_shift``
+    bits) counts on the day of its first packet inside ``[start, end)``.
+    """
     if end <= start:
         raise AnalysisError("empty observation window")
     days = int((end - start) / DAY) + 1
-    seen: set[int] = set()
     series = [0] * days
-    for p in sorted(packets, key=lambda q: q.time):
-        if not start <= p.time < end:
-            continue
-        key = p.src >> prefix_shift
-        if key not in seen:
-            seen.add(key)
-            series[int((p.time - start) / DAY)] += 1
+    if not tables:
+        return series
+    time = np.concatenate([t.time for t in tables])
+    inside = (time >= start) & (time < end)
+    src_hi = np.concatenate([t.src_hi for t in tables])[inside]
+    src_lo = np.concatenate([t.src_lo for t in tables])[inside]
+    time = time[inside]
+    if prefix_shift >= 64:
+        key_hi = np.zeros_like(src_hi)
+        key_lo = src_hi >> np.uint64(prefix_shift - 64)
+    elif prefix_shift:
+        key_hi = src_hi >> np.uint64(prefix_shift)
+        key_lo = (src_lo >> np.uint64(prefix_shift)) \
+            | (src_hi << np.uint64(64 - prefix_shift))
+    else:
+        key_hi, key_lo = src_hi, src_lo
+    for t in first_arrivals(key_hi, key_lo, time).tolist():
+        series[int((t - start) / DAY)] += 1
     return series

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.sessions import Session
+from repro.core.sessions import SessionSet
 from repro.errors import ClassificationError
 from repro.sim.clock import HOUR
 
@@ -43,7 +43,7 @@ class PeriodEstimate:
         return self.period is not None
 
 
-def detect_period(times: list[float], bin_width: float = HOUR,
+def detect_period(times, bin_width: float = HOUR,
                   acf_threshold: float = 0.25,
                   gap_cv_threshold: float = 0.35) -> PeriodEstimate:
     """Detect a stable period in event times.
@@ -57,7 +57,7 @@ def detect_period(times: list[float], bin_width: float = HOUR,
     """
     if len(times) < 3:
         return PeriodEstimate(period=None, confidence=0.0)
-    ordered = sorted(times)
+    ordered = np.sort(np.asarray(times, dtype=np.float64))
     gaps = np.diff(ordered)
     if np.any(gaps < 0):
         raise ClassificationError("event times must be sortable")
@@ -71,13 +71,13 @@ def detect_period(times: list[float], bin_width: float = HOUR,
         return PeriodEstimate(period=mean_gap, confidence=1.0 - cv)
 
     # detector 1: autocorrelation over a binned series
-    span = ordered[-1] - ordered[0]
+    span = float(ordered[-1] - ordered[0])
     num_bins = int(span / bin_width) + 1
     if num_bins < 8 or num_bins > 2_000_000:
         return PeriodEstimate(period=None, confidence=0.0)
-    series = np.zeros(num_bins)
-    for t in ordered:
-        series[int((t - ordered[0]) / bin_width)] += 1
+    series = np.bincount(((ordered - ordered[0]) / bin_width)
+                         .astype(np.int64), minlength=num_bins) \
+        .astype(np.float64)
     series = series - series.mean()
     denom = float(np.sum(series * series))
     if denom == 0:
@@ -101,15 +101,13 @@ def detect_period(times: list[float], bin_width: float = HOUR,
     return PeriodEstimate(period=None, confidence=peak)
 
 
-def classify_temporal(sessions: list[Session],
-                      bin_width: float = HOUR) -> TemporalClass:
-    """Classify one scanner from its (time-ordered) sessions."""
-    if not sessions:
+def classify_temporal(starts, bin_width: float = HOUR) -> TemporalClass:
+    """Classify one scanner from the start times of its sessions."""
+    if len(starts) == 0:
         raise ClassificationError("cannot classify a scanner with no sessions")
-    if len(sessions) == 1:
+    if len(starts) == 1:
         return TemporalClass.ONE_OFF
-    starts = sorted(s.start for s in sessions)
-    if len(sessions) == 2:
+    if len(starts) == 2:
         # "must appear more than twice and show a stable period" — two
         # sessions can never establish a period.
         return TemporalClass.INTERMITTENT
@@ -119,8 +117,14 @@ def classify_temporal(sessions: list[Session],
     return TemporalClass.INTERMITTENT
 
 
-def classify_all(by_source: dict[int, list[Session]],
+def classify_all(session_set: SessionSet,
                  bin_width: float = HOUR) -> dict[int, TemporalClass]:
-    """Temporal class per source from a sessions-by-source mapping."""
-    return {source: classify_temporal(sessions, bin_width=bin_width)
-            for source, sessions in by_source.items()}
+    """Temporal class per source, keyed in
+    :meth:`SessionSet.source_keys` order; each source's session starts
+    come from the set's start column."""
+    order = np.argsort(session_set.source_codes(), kind="stable")
+    bounds = np.cumsum(session_set.sessions_per_source())[:-1]
+    starts = np.split(session_set.starts()[order], bounds)
+    return {source: classify_temporal(source_starts, bin_width=bin_width)
+            for source, source_starts in zip(session_set.source_keys(),
+                                             starts)}

@@ -99,7 +99,6 @@ class PacketCorpus:
     #: of assuming the telescope saw the whole run.
     coverage_gaps: dict[str, tuple[tuple[float, float], ...]] = field(
         default_factory=dict)
-    _phase_cache: dict = field(default_factory=dict)
     _phase_table_cache: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
@@ -143,31 +142,6 @@ class PacketCorpus:
             else:
                 total += len(self.tables_by_telescope[name])
         return total
-
-    def phase_packets(self, telescope: str, phase: Phase) -> list[Packet]:
-        """Packets of a telescope inside an observation phase (cached)."""
-        if phase is Phase.FULL:
-            # the filter is a no-op for the full phase: hand out the
-            # underlying list instead of copying it
-            return self.packets(telescope)
-        key = (telescope, phase)
-        if key not in self._phase_cache:
-            backing = self.tables_by_telescope.get(telescope)
-            if isinstance(backing, ChunkedPacketTable) \
-                    and backing._materialized is None \
-                    and telescope not in self.packets_by_telescope:
-                # out-of-core backing: materialize objects only for the
-                # phase's chunks (pushdown) instead of the whole capture.
-                # A chunked table is time-sorted by construction, so the
-                # slice equals the filtered list the eager path builds.
-                self._phase_cache[key] = list(
-                    self.phase_table(telescope, phase).to_packets())
-            else:
-                start, end = phase_bounds(self.config, phase)
-                self._phase_cache[key] = [
-                    p for p in self.packets(telescope)
-                    if start <= p.time < end]
-        return self._phase_cache[key]
 
     def phase_table(self, telescope: str, phase: Phase) -> PacketTable:
         """Columnar phase slice: a ``searchsorted`` on the sorted table."""

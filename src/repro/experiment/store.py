@@ -164,6 +164,26 @@ def write_table_chunks(table: PacketTable, directory: str | Path,
 # -- chunk reader ----------------------------------------------------------
 
 
+_READ_HEADER = {(1, 0): np.lib.format.read_array_header_1_0,
+                (2, 0): np.lib.format.read_array_header_2_0}
+
+
+def _size_matches_header(path: Path) -> bool:
+    """Whether a ``.npy`` file holds exactly the bytes its header
+    declares (False for a truncated or extended file, or a damaged
+    header)."""
+    try:
+        with open(path, "rb") as fh:
+            read_header = _READ_HEADER.get(np.lib.format.read_magic(fh))
+            if read_header is None:
+                return False
+            shape, _, dtype = read_header(fh)
+            declared = fh.tell() + dtype.itemsize * int(np.prod(shape))
+    except (OSError, ValueError, EOFError):
+        return False
+    return path.stat().st_size == declared
+
+
 class _ChunkReader:
     """Lazy, verified access to one on-disk chunk.
 
@@ -209,7 +229,11 @@ class _ChunkReader:
         expected = self.entry["sha256"]
         obs.add("store.chunks_verified_total", telescope=self.telescope)
         if actual != expected:
-            path = self._paths()[0][1]
+            # one sha256 spans every column file: name a file only when
+            # its size contradicts its own header, else the whole chunk
+            path = next((path for _, path in self._paths()
+                         if not _size_matches_header(path)),
+                        self.directory / self.entry["name"])
             raise StoreError(
                 f"corpus chunk {self.entry['name']} of {self.telescope} "
                 f"failed its sha256 check (stored {expected[:12]}…, "

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.analysis.bias import (BiasReport, bias_report, profile_telescope,
+from repro.analysis.bias import (bias_report, profile_telescope,
                                  total_variation)
 from repro.analysis.guidance import derive_guidance
 from repro.errors import AnalysisError
@@ -59,16 +59,6 @@ class TestBiasReport:
     def test_render(self, small_analysis):
         text = bias_report(small_analysis).render()
         assert "T1 vs T2" in text
-
-    def test_most_divergent_pair(self, small_analysis):
-        report = bias_report(small_analysis)
-        pair = report.most_divergent_pair()
-        assert pair in report.divergences
-
-    def test_empty_divergences_rejected(self):
-        report = BiasReport(profiles={}, divergences={})
-        with pytest.raises(AnalysisError):
-            report.most_divergent_pair()
 
 
 class TestGuidance:

@@ -179,7 +179,7 @@ class TestDegradedFigures:
             tiny_corpus, packets_by_telescope={}, coverage_gaps={},
             tables_by_telescope={t: PacketTable.empty()
                                  for t in tiny_corpus.telescopes()},
-            _phase_cache={}, _phase_table_cache={})
+            _phase_table_cache={})
         return CorpusAnalysis(empty)
 
     def test_fig4_zero_series_when_every_capture_is_dark(self,

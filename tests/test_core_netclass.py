@@ -3,9 +3,9 @@
 import pytest
 
 from repro.bgp.controller import build_split_schedule
-from repro.core.netclass import (NetworkClass, classify_cycle,
+from repro.core.columnar import PacketTable, sessionize_table
+from repro.core.netclass import (NetworkClass, classify_all, classify_cycle,
                                  classify_scanner, sessions_per_prefix)
-from repro.core.sessions import Session
 from repro.errors import ClassificationError
 from repro.net.prefix import Prefix
 from repro.telescope.packet import ICMPV6, Packet
@@ -14,10 +14,16 @@ T1 = Prefix.parse("3fff:1000::/32")
 SCHEDULE = build_split_schedule(T1, baseline_weeks=2, num_cycles=4)
 
 
-def session(start: float, targets: list[int]) -> Session:
-    packets = [Packet(time=start + i, src=1, dst=t, protocol=ICMPV6)
-               for i, t in enumerate(targets)]
-    return Session(source=1, telescope="T1", packets=packets)
+def session(start: float, targets: list[int], src: int = 1) -> list[Packet]:
+    """One session's packets, a second apart from ``start``."""
+    return [Packet(time=start + i, src=src, dst=t, protocol=ICMPV6)
+            for i, t in enumerate(targets)]
+
+
+def session_set(sessions: list[list[Packet]]):
+    return sessionize_table(PacketTable.from_packets(
+        sorted((p for packets in sessions for p in packets),
+               key=lambda p: p.time)), telescope="T1")
 
 
 class TestSessionsPerPrefix:
@@ -25,22 +31,22 @@ class TestSessionsPerPrefix:
         cycle = SCHEDULE[2]  # three prefixes
         target = cycle.prefixes[-1].low_byte_address
         s = session(cycle.announce_time + 10, [target])
-        counts = sessions_per_prefix([s], cycle)
-        touched = [p for p, c in counts.items() if c]
+        counts = sessions_per_prefix(session_set([s]), cycle)[0]
+        touched = [p for p, c in zip(cycle.prefixes, counts) if c]
         assert touched == [cycle.prefixes[-1]]
 
     def test_outside_cycle_ignored(self):
         cycle = SCHEDULE[2]
         s = session(cycle.withdraw_time + 10,
                     [cycle.prefixes[0].low_byte_address])
-        assert sum(sessions_per_prefix([s], cycle).values()) == 0
+        assert sessions_per_prefix(session_set([s]), cycle).sum() == 0
 
     def test_multi_prefix_session_counts_each(self):
         cycle = SCHEDULE[2]
         targets = [p.low_byte_address for p in cycle.prefixes]
-        counts = sessions_per_prefix([session(cycle.announce_time, targets)],
-                                     cycle)
-        assert all(c == 1 for c in counts.values())
+        counts = sessions_per_prefix(
+            session_set([session(cycle.announce_time, targets)]), cycle)
+        assert counts.tolist() == [[1] * len(cycle.prefixes)]
 
 
 class TestClassifyCycle:
@@ -88,14 +94,14 @@ class TestClassifyScanner:
             for i, targets in enumerate(target_lists):
                 sessions.append(session(cycle.announce_time + i * 7200,
                                         targets))
-        return sessions
+        return session_set(sessions)
 
     def test_consistent_single_prefix(self):
         per_cycle = {}
         for cycle in SCHEDULE[1:3]:
             per_cycle[cycle] = [[cycle.prefixes[0].low_byte_address]]
         sessions = self._sessions_for_cycles(per_cycle)
-        assert classify_scanner(sessions, list(SCHEDULE[1:])) \
+        assert classify_all(sessions, list(SCHEDULE))[1] \
             is NetworkClass.SINGLE_PREFIX
 
     def test_consistent_independent(self):
@@ -104,7 +110,7 @@ class TestClassifyScanner:
             all_targets = [p.low_byte_address for p in cycle.prefixes]
             per_cycle[cycle] = [all_targets, all_targets]
         sessions = self._sessions_for_cycles(per_cycle)
-        assert classify_scanner(sessions, list(SCHEDULE[1:])) \
+        assert classify_all(sessions, list(SCHEDULE))[1] \
             is NetworkClass.SIZE_INDEPENDENT
 
     def test_mixed_is_inconsistent(self):
@@ -115,14 +121,38 @@ class TestClassifyScanner:
                       [p.low_byte_address for p in cycle_b.prefixes]],
         }
         sessions = self._sessions_for_cycles(per_cycle)
-        assert classify_scanner(sessions, list(SCHEDULE[1:])) \
+        assert classify_all(sessions, list(SCHEDULE))[1] \
             is NetworkClass.INCONSISTENT
 
     def test_no_sessions_rejected(self):
         with pytest.raises(ClassificationError):
-            classify_scanner([], list(SCHEDULE[1:]))
+            classify_scanner([])
         with pytest.raises(ClassificationError):
-            classify_scanner([session(0.0, [T1.low_byte_address])], [])
+            classify_scanner([None, None])
+
+    def test_majority_of_active_cycles(self):
+        single, independent = (NetworkClass.SINGLE_PREFIX,
+                               NetworkClass.SIZE_INDEPENDENT)
+        assert classify_scanner([single] * 7 + [independent] * 3 + [None]) \
+            is single
+        assert classify_scanner([single] * 6 + [independent] * 4) \
+            is NetworkClass.INCONSISTENT
+
+    def test_classify_all_per_source(self):
+        """Each source of a set gets its own class; sources active in no
+        split cycle are left out."""
+        sessions = []
+        for cycle in SCHEDULE[1:3]:
+            sessions.append(session(cycle.announce_time,
+                                    [cycle.prefixes[0].low_byte_address],
+                                    src=7))
+            sessions.append(session(
+                cycle.announce_time + 100,
+                [p.low_byte_address for p in cycle.prefixes], src=9))
+        sessions.append(session(0.0, [T1.low_byte_address], src=11))
+        classes = classify_all(session_set(sessions), list(SCHEDULE))
+        assert classes == {7: NetworkClass.SINGLE_PREFIX,
+                           9: NetworkClass.SIZE_INDEPENDENT}
 
 
 class TestPartialCoverage:

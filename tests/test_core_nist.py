@@ -17,30 +17,36 @@ def random_bits():
     return rng.integers(0, 2, size=6400).astype(np.int8)
 
 
+def halves(addrs):
+    """The upper and lower 64-bit columns of integer addresses."""
+    return (np.array([a >> 64 for a in addrs], dtype=np.uint64),
+            np.array([a & ((1 << 64) - 1) for a in addrs], dtype=np.uint64))
+
+
 class TestBitsFromAddresses:
     def test_iid_extraction(self):
         addrs = [(0xFFFF << 112) | 0b1010]
-        bits = bits_from_addresses(addrs, take_bits=4, skip_high=124)
+        bits = bits_from_addresses(*halves(addrs), take_bits=4, skip_high=124)
         assert list(bits) == [1, 0, 1, 0]
 
     def test_length(self):
         addrs = [0] * 10
-        assert len(bits_from_addresses(addrs, take_bits=64,
+        assert len(bits_from_addresses(*halves(addrs), take_bits=64,
                                        skip_high=64)) == 640
 
     def test_invalid_section(self):
         with pytest.raises(AnalysisError):
-            bits_from_addresses([0], take_bits=100, skip_high=64)
+            bits_from_addresses(*halves([0]), take_bits=100, skip_high=64)
 
     def test_empty(self):
-        bits = bits_from_addresses([], take_bits=64, skip_high=64)
+        bits = bits_from_addresses(*halves([]), take_bits=64, skip_high=64)
         assert len(bits) == 0 and bits.dtype == np.int8
 
     @given(st.lists(st.integers(0, (1 << 128) - 1), max_size=20),
            st.integers(0, 64), st.integers(1, 64))
     @settings(max_examples=50, deadline=None)
     def test_matches_reference_loop(self, addrs, skip_high, take_bits):
-        got = bits_from_addresses(addrs, take_bits=take_bits,
+        got = bits_from_addresses(*halves(addrs), take_bits=take_bits,
                                   skip_high=skip_high)
         # the pre-vectorization implementation, kept as the oracle
         expect = np.empty(len(addrs) * take_bits, dtype=np.int8)
@@ -153,13 +159,13 @@ class TestBattery:
 
     def test_structured_addresses_fail(self):
         addrs = [i + 1 for i in range(200)]  # low-byte style IIDs
-        bits = bits_from_addresses(addrs, take_bits=64, skip_high=64)
+        bits = bits_from_addresses(*halves(addrs), take_bits=64, skip_high=64)
         assert not run_battery(bits).is_random()
 
     def test_random_addresses_pass(self):
         rng = np.random.default_rng(0)
         addrs = [int.from_bytes(rng.bytes(16), "big") for _ in range(200)]
-        bits = bits_from_addresses(addrs, take_bits=64, skip_high=64)
+        bits = bits_from_addresses(*halves(addrs), take_bits=64, skip_high=64)
         assert run_battery(bits).is_random()
 
     def test_passes_dict_keys(self):

@@ -6,10 +6,10 @@ import json
 import numpy as np
 import pytest
 
+from repro.core.columnar import PacketTable, sessionize_table
 from repro.core.dbscan import NOISE, num_clusters
 from repro.core.payloads import (cluster_payloads, identify_tools,
                                  payload_prefix)
-from repro.core.sessions import Session
 from repro.dns.resolver import Resolver
 from repro.dns.zone import Zone
 from repro.scanners.tools import (RIPE_ATLAS, SIX_SENSE, TOOL_SIGNATURES,
@@ -17,11 +17,16 @@ from repro.scanners.tools import (RIPE_ATLAS, SIX_SENSE, TOOL_SIGNATURES,
 from repro.telescope.packet import ICMPV6, Packet
 
 
-def session_with_payloads(source: int, payloads: list[bytes | None]) \
-        -> Session:
-    packets = [Packet(time=float(i), src=source, dst=2, protocol=ICMPV6,
-                      payload=p) for i, p in enumerate(payloads)]
-    return Session(source=source, telescope="T1", packets=packets)
+def session_with_payloads(source: int, payloads: list[bytes | None],
+                          start: float = 0.0) -> list[Packet]:
+    """One session's packets, a second apart from ``start``."""
+    return [Packet(time=start + i, src=source, dst=2, protocol=ICMPV6,
+                   payload=p) for i, p in enumerate(payloads)]
+
+
+def session_set(*sessions: list[Packet]):
+    return sessionize_table(PacketTable.from_packets(
+        [p for packets in sessions for p in packets]), telescope="T1")
 
 
 class TestPayloadPrefix:
@@ -78,13 +83,13 @@ class TestClusterPayloads:
 class TestIdentifyTools:
     def test_payload_attribution(self):
         rng = np.random.default_rng(0)
-        sessions = [
+        sessions = session_set(
             session_with_payloads(1, [YARRP6.payload(rng, i)
                                       for i in range(3)]),
             session_with_payloads(1, [YARRP6.payload(rng, i)
-                                      for i in range(3)]),
+                                      for i in range(3)], start=7200.0),
             session_with_payloads(2, [RIPE_ATLAS.payload(rng, 0)]),
-        ]
+        )
         report = identify_tools(sessions)
         assert report.source_tools[1] == "Yarrp6"
         assert report.source_tools[2] == "RIPEAtlasProbe"
@@ -94,17 +99,28 @@ class TestIdentifyTools:
         zone = Zone(origin="rdns.")
         zone.add_ptr(42, "probe-7.atlas.ripe.net")
         resolver = Resolver([zone])
-        sessions = [session_with_payloads(42, [None, None])]
+        sessions = session_set(session_with_payloads(42, [None, None]))
         report = identify_tools(sessions, resolver=resolver)
         assert report.source_tools[42] == "RIPEAtlasProbe"
 
     def test_unknown_payloads_stay_unattributed(self):
-        sessions = [session_with_payloads(1, [b"\xde\xad\xbe\xef" * 4] * 3)]
+        sessions = session_set(
+            session_with_payloads(1, [b"\xde\xad\xbe\xef" * 4] * 3))
         report = identify_tools(sessions)
         assert 1 not in report.source_tools
         # but the cluster itself is visible as random-bytes/unknown
         assert any(c.tool is None for c in report.clusters)
 
     def test_empty_sessions(self):
-        report = identify_tools([])
+        report = identify_tools(sessionize_table(PacketTable.empty()))
         assert report.per_tool == {}
+
+    def test_first_payloads_per_session_vote(self):
+        """Only a session's first three payloads vote; a tie goes to the
+        tool voted for first."""
+        rng = np.random.default_rng(1)
+        report = identify_tools(session_set(session_with_payloads(
+            5, [None, SIX_SENSE.payload(rng, 0), YARRP6.payload(rng, 1),
+                None, b"\xde\xad\xbe\xef" * 4]
+            + [YARRP6.payload(rng, i) for i in range(2, 6)])))
+        assert report.source_tools[5] == SIX_SENSE.name

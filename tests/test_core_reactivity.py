@@ -1,16 +1,17 @@
 """Tests for repro.core.reactivity."""
 
+import numpy as np
 import pytest
 
 from repro.bgp.controller import build_split_schedule
-from repro.core.reactivity import (CycleActivity, cycle_activity,
-                                   growth_factor, live_monitors,
-                                   most_specific_for,
+from repro.core.columnar import PacketTable, sessionize_table
+from repro.core.reactivity import (cycle_activity, live_monitors,
+                                   most_specific_slots,
                                    new_source_prefixes_per_day,
                                    sessions_per_prefix_cumulative,
                                    split_half_comparison)
-from repro.core.sessions import sessionize
 from repro.errors import AnalysisError
+from repro.net.lpm import NO_MATCH
 from repro.net.prefix import Prefix
 from repro.sim.clock import DAY, WEEK
 from repro.telescope.packet import ICMPV6, Packet
@@ -23,14 +24,25 @@ def packet(time, dst, src=1):
     return Packet(time=float(time), src=src, dst=dst, protocol=ICMPV6)
 
 
+def sessions_of(packets):
+    return sessionize_table(PacketTable.from_packets(packets))
+
+
+def slot_of(dst, cycle):
+    halves = (np.array([dst >> 64], dtype=np.uint64),
+              np.array([dst & ((1 << 64) - 1)], dtype=np.uint64))
+    return int(most_specific_slots(cycle, *halves)[0])
+
+
 class TestMostSpecific:
     def test_picks_longest(self):
         cycle = SCHEDULE[2]
         deepest = max(cycle.prefixes, key=lambda p: p.length)
-        assert most_specific_for(deepest.low_byte_address, cycle) == deepest
+        slot = slot_of(deepest.low_byte_address, cycle)
+        assert cycle.prefixes[slot] == deepest
 
     def test_outside_none(self):
-        assert most_specific_for(1, SCHEDULE[1]) is None
+        assert slot_of(1, SCHEDULE[1]) == NO_MATCH
 
 
 class TestSessionsPerPrefixCumulative:
@@ -40,11 +52,27 @@ class TestSessionsPerPrefixCumulative:
             for p in cycle.prefixes:
                 packets.append(packet(cycle.announce_time + 60,
                                       p.low_byte_address))
-        sessions = sessionize(packets).sessions
-        series = sessions_per_prefix_cumulative(sessions, list(SCHEDULE))
+        series = sessions_per_prefix_cumulative(sessions_of(packets),
+                                                list(SCHEDULE))
         for values in series.values():
             assert values == sorted(values)
             assert len(values) == len(SCHEDULE)
+
+    def test_prefixes_keyed_in_first_met_order(self):
+        """A session touching several new prefixes keys them in the
+        order a set of them iterates; later cycles append."""
+        cycle = SCHEDULE[3]
+        targets = [p.low_byte_address for p in reversed(cycle.prefixes)]
+        packets = [packet(cycle.announce_time + i, t)
+                   for i, t in enumerate(targets)]
+        series = sessions_per_prefix_cumulative(sessions_of(packets),
+                                                list(SCHEDULE))
+        touched = set()
+        for dst in set(targets):
+            touched.add(next(p for p in sorted(
+                cycle.prefixes, key=lambda p: -p.length)
+                if p.contains_address(dst)))
+        assert list(series) == list(touched)
 
 
 class TestSplitHalfComparison:
@@ -78,25 +106,20 @@ class TestCycleActivity:
         packets = [packet(cycle.announce_time + 1,
                           cycle.prefixes[0].low_byte_address, src=s)
                    for s in (1, 2)]
-        sessions = sessionize(packets).sessions
-        activity = cycle_activity(sessions, list(SCHEDULE))
+        sessions = sessions_of(packets)
+        activity = cycle_activity([sessions], list(SCHEDULE))
         by_index = {a.cycle_index: a for a in activity}
         assert by_index[1].sources == 2
         assert by_index[1].sessions == 2
         assert by_index[2].sessions == 0
 
-    def test_growth_factor(self):
-        activity = [CycleActivity(0, 100, 100),
-                    CycleActivity(1, 10, 10),
-                    CycleActivity(2, 20, 20),
-                    CycleActivity(3, 30, 30),
-                    CycleActivity(4, 40, 40)]
-        factor = growth_factor(activity, "sources")
-        assert factor == pytest.approx(3.0)
-
-    def test_growth_needs_cycles(self):
-        with pytest.raises(AnalysisError):
-            growth_factor([CycleActivity(0, 1, 1)])
+    def test_source_counts_once_across_sets(self):
+        cycle = SCHEDULE[1]
+        sessions = sessions_of([packet(cycle.announce_time + 1,
+                                       cycle.prefixes[0].low_byte_address)])
+        activity = cycle_activity([sessions, sessions], list(SCHEDULE))
+        assert activity[1].sources == 1
+        assert activity[1].sessions == 2
 
 
 class TestLiveMonitors:
@@ -131,7 +154,8 @@ class TestNewSourcePrefixes:
         packets = [packet(0.0, 2, src=src_a),
                    packet(1 * DAY, 2, src=src_a | 5),  # same /48
                    packet(2 * DAY, 2, src=src_b)]
-        series = new_source_prefixes_per_day(packets, 0.0, 4 * DAY)
+        series = new_source_prefixes_per_day(
+            [PacketTable.from_packets(packets)], 0.0, 4 * DAY)
         assert series[0] == 1
         assert series[1] == 0
         assert series[2] == 1

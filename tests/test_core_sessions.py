@@ -122,7 +122,6 @@ class TestSession:
                                    packet(2, dst=11)])
         assert session.duration == 1.0
         assert session.protocols() == {TCP, ICMPV6}
-        assert session.dst_ports(TCP) == {80}
         assert session.distinct_targets() == {10, 11}
 
     def test_total_packets(self):

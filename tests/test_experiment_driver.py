@@ -105,8 +105,8 @@ class TestCorpusDigest:
 class TestCorpus:
     def test_phase_packets_partition(self, tiny_corpus):
         full = len(tiny_corpus.packets("T1"))
-        initial = len(tiny_corpus.phase_packets("T1", Phase.INITIAL))
-        split = len(tiny_corpus.phase_packets("T1", Phase.SPLIT))
+        initial = len(tiny_corpus.phase_table("T1", Phase.INITIAL))
+        split = len(tiny_corpus.phase_table("T1", Phase.SPLIT))
         assert initial + split == full
 
     def test_unknown_telescope_rejected(self, tiny_corpus):

@@ -143,6 +143,29 @@ class TestStoreIntegrity:
         assert exc_info.value.check == "sha256"
         assert exc_info.value.path == victim
 
+    def test_truncated_column_named(self, saved):
+        """A truncated column file is named, not the chunk's time file."""
+        victim = chunk_paths(saved, "T1", "src_lo")[0]
+        self._truncate(victim, 1 / 2)
+        corpus = load_corpus(saved)
+        with pytest.raises(StoreError) as exc_info:
+            corpus.table("T1").materialize()
+        assert exc_info.value.check == "sha256"
+        assert exc_info.value.path == victim
+
+    def test_bit_flip_names_the_chunk(self, saved):
+        """A flip that leaves every file's size intact cannot be pinned
+        to one file: the error names the chunk."""
+        victim = chunk_paths(saved, "T1", "dst_lo")[0]
+        blob = bytearray(victim.read_bytes())
+        blob[-8] ^= 0xFF
+        victim.write_bytes(bytes(blob))
+        corpus = load_corpus(saved)
+        with pytest.raises(StoreError) as exc_info:
+            corpus.table("T1").materialize()
+        assert exc_info.value.check == "sha256"
+        assert exc_info.value.path == victim.parent / "chunk_0000"
+
     def test_bit_flipped_segment(self, saved):
         victim = chunk_paths(saved, "T1", "time")[0]
         blob = bytearray(victim.read_bytes())

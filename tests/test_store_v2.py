@@ -115,12 +115,15 @@ class TestPushdown:
     def test_phase_packets_pushdown_matches_filter(self, store,
                                                    tiny_corpus):
         corpus = load_corpus(store)
-        packets = corpus.phase_packets("T3", Phase.INITIAL)
+        table = corpus.phase_table("T3", Phase.INITIAL)
         start, end = (0.0, corpus.config.baseline_weeks * 7 * 86400.0)
         expected = [p for p in tiny_corpus.packets("T3")
                     if start <= p.time < end]
-        assert [(p.time, p.src, p.dst) for p in packets] \
-            == [(p.time, p.src, p.dst) for p in expected]
+        assert list(zip(table.time.tolist(), table.src_lo.tolist(),
+                        table.dst_lo.tolist())) \
+            == [(p.time, p.src & (1 << 64) - 1, p.dst & (1 << 64) - 1)
+                for p in expected]
+        assert table.to_packets() == expected
 
     def test_len_needs_no_io(self, store, tiny_corpus):
         corpus = load_corpus(store)
