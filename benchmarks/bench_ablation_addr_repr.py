@@ -4,8 +4,9 @@ DESIGN.md: the library stores addresses as plain 128-bit ints; the hot
 analysis paths additionally store packets as NumPy columns
 (:class:`repro.core.columnar.PacketTable`). This ablation measures
 containment/classification throughput for int vs ``ipaddress`` objects,
-and sessionization throughput for the per-packet object path vs the
-columnar engine, to justify both choices.
+and sessionization throughput for a per-packet object loop (the rejected
+design, kept here only as the baseline) vs the columnar engine, to
+justify both choices.
 """
 
 import ipaddress
@@ -14,7 +15,6 @@ import numpy as np
 import pytest
 
 from repro.core.columnar import PacketTable, sessionize_table
-from repro.core.sessions import sessionize
 from repro.net.addrgen import random_targets
 from repro.net.addrtypes import classify_address
 from repro.net.prefix import Prefix
@@ -67,6 +67,20 @@ def test_ablation_classify_via_ipaddress(benchmark, object_addresses):
 
 # -- packet representation: dataclass walk vs PacketTable columns ----------
 
+def sessionize_objects(packets: list[Packet], timeout: float = HOUR) -> int:
+    """Session count of a per-source walk over ``Packet`` objects: group
+    by source, order each stream by arrival, cut at gaps >= timeout."""
+    streams: dict[int, list[float]] = {}
+    for packet in packets:
+        streams.setdefault(packet.src, []).append(packet.time)
+    sessions = 0
+    for times in streams.values():
+        times.sort()
+        sessions += 1 + sum(1 for a, b in zip(times, times[1:])
+                            if b - a >= timeout)
+    return sessions
+
+
 @pytest.fixture(scope="module")
 def session_packets(int_addresses):
     """A scan stream: many sources, bursty arrivals over two days."""
@@ -84,11 +98,11 @@ def session_table(session_packets):
 
 
 def test_ablation_sessionize_objects(benchmark, session_packets):
-    result = benchmark(lambda: len(sessionize(session_packets)))
+    result = benchmark(lambda: sessionize_objects(session_packets))
     assert result > 0
 
 
 def test_ablation_sessionize_columnar(benchmark, session_packets,
                                       session_table):
     result = benchmark(lambda: len(sessionize_table(session_table)))
-    assert result == len(sessionize(session_packets))
+    assert result == sessionize_objects(session_packets)

@@ -17,7 +17,8 @@ from repro.scanners.backscatter import (DDoSAttack,
 from repro.scanners.base import ScannerContext
 from repro.sim.events import Simulator
 from repro.telescope.capture import PacketCapture
-from repro.telescope.telescope import Telescope, TelescopeKind
+from repro.telescope.telescope import (Telescope, TelescopeKind,
+                                       prefix_router)
 
 PREFIXES = [Prefix.parse("3fff:1000::/32"),   # T1
             Prefix.parse("3fff:2000::/48"),   # T2
@@ -28,9 +29,8 @@ ATTACK_PACKETS = 500_000
 def test_ddos_backscatter(benchmark):
     telescope = Telescope(name="combined", kind=TelescopeKind.PASSIVE,
                           prefixes=PREFIXES, capture=PacketCapture())
-    ctx = ScannerContext(
-        simulator=Simulator(),
-        route=lambda dst, now: telescope if telescope.owns(dst) else None)
+    ctx = ScannerContext(simulator=Simulator(),
+                         route=prefix_router([telescope]))
     attack = DDoSAttack(victim=Prefix.parse("2001:db8::/32").network | 1,
                         packets=ATTACK_PACKETS,
                         rng=np.random.default_rng(0))

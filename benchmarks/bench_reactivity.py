@@ -18,7 +18,7 @@ def test_split_half_increase(benchmark, bench_analysis):
     corpus = bench_analysis.corpus
     result = benchmark.pedantic(
         split_half_comparison,
-        args=(corpus.packets("T1"), corpus.t1_prefix, corpus.schedule),
+        args=(corpus.table("T1"), corpus.t1_prefix, corpus.schedule),
         rounds=1, iterations=1)
     print_comparison("§7.1 split vs stable /33", [
         ("packet increase", "+286%", f"+{100 * result.increase:.0f}%"),
@@ -32,7 +32,7 @@ def test_split_half_increase(benchmark, bench_analysis):
 def test_live_bgp_monitors(benchmark, bench_analysis):
     corpus = bench_analysis.corpus
     monitors = benchmark.pedantic(
-        live_monitors, args=(corpus.packets("T1"), corpus.schedule),
+        live_monitors, args=(corpus.table("T1"), corpus.schedule),
         rounds=1, iterations=1)
     expected = round(18 * corpus.config.scale)
     print_comparison("§7.2 live BGP monitors", [
@@ -43,8 +43,8 @@ def test_live_bgp_monitors(benchmark, bench_analysis):
 
 
 def test_source_and_session_growth(benchmark, bench_analysis):
-    sessions = bench_analysis.sessions(
-        "T1", AggregationLevel.ADDR, Phase.FULL).sessions
+    sessions = bench_analysis.sessions("T1", AggregationLevel.ADDR,
+                                       Phase.FULL)
     schedule = bench_analysis.corpus.schedule
     source_growth = benchmark.pedantic(
         baseline_split_growth, args=(sessions, schedule, "sources"),

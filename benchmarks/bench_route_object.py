@@ -21,7 +21,7 @@ def test_route_object_no_effect(benchmark, bench_result):
     stable_33 = corpus.t1_prefix.split()[0]
     effect = benchmark.pedantic(
         route_object_effect,
-        args=(corpus.packets("T1"), stable_33, created_at),
+        args=(corpus.table("T1"), stable_33, created_at),
         kwargs={"window_days": 21}, rounds=1, iterations=1)
     print_comparison("§3.2 route6 object", [
         ("daily-source change", "no noticeable effect",

@@ -45,11 +45,10 @@ def main() -> int:
 
     corpus = result.corpus
     analysis = CorpusAnalysis(corpus)
-    t1_packets = corpus.packets("T1")
-    sessions = analysis.sessions("T1", AggregationLevel.ADDR,
-                                 Phase.FULL).sessions
+    t1_table = corpus.table("T1")
+    sessions = analysis.sessions("T1", AggregationLevel.ADDR, Phase.FULL)
 
-    comparison = split_half_comparison(t1_packets, corpus.t1_prefix,
+    comparison = split_half_comparison(t1_table, corpus.t1_prefix,
                                        schedule)
     print(f"split /33 vs stable /33 packets: "
           f"{comparison.split_packets:,} vs {comparison.stable_packets:,} "
@@ -62,7 +61,7 @@ def main() -> int:
     print(f"weekly sessions, split vs baseline: "
           f"+{100 * session_growth:.0f}% (paper: +555%)")
 
-    monitors = live_monitors(t1_packets, schedule)
+    monitors = live_monitors(t1_table, schedule)
     print(f"live BGP monitors (<30 min reaction): {len(monitors)} "
           f"(paper: 18 at full scale)")
 

@@ -22,7 +22,8 @@ from repro.scanners.backscatter import (DDoSAttack,
 from repro.scanners.base import ScannerContext
 from repro.sim.events import Simulator
 from repro.telescope.capture import PacketCapture
-from repro.telescope.telescope import Telescope, TelescopeKind
+from repro.telescope.telescope import (Telescope, TelescopeKind,
+                                       prefix_router)
 
 TELESCOPES = {
     "/29 (the paper's covering prefix)": Prefix.parse("3fff:4000::/29"),
@@ -43,13 +44,7 @@ def main() -> int:
                         prefixes=[prefix], capture=PacketCapture())
               for label, prefix in TELESCOPES.items()]
 
-    def route(dst: int, now: float):
-        for telescope in scopes:
-            if telescope.owns(dst):
-                return telescope
-        return None
-
-    ctx = ScannerContext(simulator=Simulator(), route=route)
+    ctx = ScannerContext(simulator=Simulator(), route=prefix_router(scopes))
     attack = DDoSAttack(victim=victim, packets=packets,
                         rng=np.random.default_rng(0))
     captured = attack.run(ctx)

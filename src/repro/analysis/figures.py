@@ -466,7 +466,9 @@ def _nibble_matrix(session_set: SessionSet, session: int) -> NibbleMatrix:
     halves = np.stack(_session_targets(session_set, session), axis=1)
     shifts = np.arange(60, -1, -4, dtype=np.uint64)
     nibbles = (halves[:, :, None] >> shifts) & np.uint64(0xF)
-    return NibbleMatrix(source=session_set.sessions[session].source,
+    source_hi, source_lo = session_set.source_columns()
+    return NibbleMatrix(source=(int(source_hi[session]) << 64)
+                        | int(source_lo[session]),
                         nibbles=nibbles.reshape(len(halves), 32)
                         .astype(np.uint8))
 

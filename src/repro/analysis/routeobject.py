@@ -18,10 +18,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.core.columnar import PacketTable, distinct_rows
 from repro.errors import AnalysisError
+from repro.net.lpm import contains_mask
 from repro.net.prefix import Prefix
 from repro.sim.clock import DAY
-from repro.telescope.packet import Packet
 
 
 @dataclass(frozen=True, slots=True)
@@ -66,7 +67,7 @@ class RouteObjectEffect:
             and abs(self.source_change) >= min_change
 
 
-def route_object_effect(packets: list[Packet], prefix: Prefix,
+def route_object_effect(table: PacketTable, prefix: Prefix,
                         created_at: float,
                         window_days: int = 28) -> RouteObjectEffect:
     """Compare activity toward ``prefix`` around ``created_at``.
@@ -78,32 +79,33 @@ def route_object_effect(packets: list[Packet], prefix: Prefix,
         raise AnalysisError("need at least two days per window")
     window = window_days * DAY
     start, end = created_at - window, created_at + window
-    sources_daily_before: list[set[int]] = [set()
-                                            for _ in range(window_days)]
-    sources_daily_after: list[set[int]] = [set()
-                                           for _ in range(window_days)]
-    packets_before = packets_after = 0
-    for p in packets:
-        if not prefix.contains_address(p.dst):
-            continue
-        if start <= p.time < created_at:
-            sources_daily_before[int((p.time - start) / DAY)].add(p.src)
-            packets_before += 1
-        elif created_at <= p.time < end:
-            sources_daily_after[int((p.time - created_at) / DAY)].add(p.src)
-            packets_after += 1
+    inside = contains_mask(prefix, table.dst_hi, table.dst_lo) \
+        & (table.time >= start) & (table.time < end)
+    time = table.time[inside]
+    src_hi, src_lo = table.src_hi[inside], table.src_lo[inside]
+    after = time >= created_at
+    day = ((time - np.where(after, created_at, start)) / DAY).astype(np.int64)
+    packets_after = int(np.count_nonzero(after))
+    packets_before = len(time) - packets_after
     if packets_before == 0 and packets_after == 0:
         raise AnalysisError(f"no traffic into {prefix} around the "
                             "route-object creation")
-    daily_before = [len(day) for day in sources_daily_before]
-    daily_after = [len(day) for day in sources_daily_after]
+
+    def daily_sources(rows: np.ndarray) -> tuple[list[int], int]:
+        # distinct (day, source) pairs, then sources per day
+        days, _, _ = distinct_rows(day[rows], src_hi[rows], src_lo[rows])
+        daily = np.bincount(days, minlength=window_days).tolist()
+        return daily, len(distinct_rows(src_hi[rows], src_lo[rows])[0])
+
+    daily_before, sources_before = daily_sources(~after)
+    daily_after, sources_after = daily_sources(after)
     return RouteObjectEffect(
         created_at=created_at,
         window_days=window_days,
         packets_before=packets_before,
         packets_after=packets_after,
-        sources_before=len(set().union(*sources_daily_before)),
-        sources_after=len(set().union(*sources_daily_after)),
+        sources_before=sources_before,
+        sources_after=sources_after,
         daily_sources_before=tuple(daily_before),
         daily_sources_after=tuple(daily_after),
         p_value=mann_whitney_u(daily_before, daily_after))

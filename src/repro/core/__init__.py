@@ -21,16 +21,13 @@ pcaps:
 """
 
 from repro.core.aggregation import AggregationLevel, source_key
-from repro.core.columnar import PacketSlice, PacketTable, sessionize_table
-from repro.core.sessions import Session, SessionSet, sessionize
+from repro.core.columnar import PacketTable, sessionize_table
+from repro.core.sessions import SessionSet
 
 __all__ = [
-    "Session",
     "SessionSet",
-    "sessionize",
     "sessionize_table",
     "PacketTable",
-    "PacketSlice",
     "AggregationLevel",
     "source_key",
 ]

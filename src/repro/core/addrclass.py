@@ -10,8 +10,7 @@ Per scan session:
 - **unknown** — neither.
 
 :func:`classify_segments` classifies every session of a session set in
-one pass over its destination columns; :func:`classify_session` is its
-one-session case.
+one pass over its destination columns.
 """
 
 from __future__ import annotations
@@ -21,7 +20,6 @@ import enum
 import numpy as np
 
 from repro.core.nist import ALPHA, monobit_pvalue
-from repro.core.sessions import Session
 from repro.errors import ClassificationError
 from repro.net.addrtypes import AddressType, TYPE_ORDER, classify_iids
 
@@ -53,8 +51,6 @@ class AddressClass(enum.Enum):
 #: result back to its :class:`AddressClass`.
 CLASS_ORDER = tuple(AddressClass)
 CLASS_CODE = {cls: code for code, cls in enumerate(CLASS_ORDER)}
-
-_MASK64 = (1 << 64) - 1
 
 
 def classify_segments(dst_hi: np.ndarray, dst_lo: np.ndarray,
@@ -109,11 +105,3 @@ def classify_segments(dst_hi: np.ndarray, dst_lo: np.ndarray,
         CLASS_CODE[AddressClass.STRUCTURED]
     return codes
 
-
-def classify_session(session: Session) -> AddressClass:
-    """Classify a session's address selection per the paper's method:
-    the one-session case of :func:`classify_segments`."""
-    targets = session.targets()
-    dst_hi = np.array([t >> 64 for t in targets], dtype=np.uint64)
-    dst_lo = np.array([t & _MASK64 for t in targets], dtype=np.uint64)
-    return CLASS_ORDER[classify_segments(dst_hi, dst_lo, [0])[0]]

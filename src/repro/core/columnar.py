@@ -1,41 +1,29 @@
 """Columnar packet engine: structure-of-arrays storage + vectorized paths.
 
-The object pipeline walks one Python :class:`~repro.telescope.packet.Packet`
-per captured probe, which caps tractable corpora around 1e6 packets. The
-paper's dataset is 51M packets, so the shared hot paths (sessionization,
-source aggregation, phase slicing) run here against a
-:class:`PacketTable` — per-telescope NumPy columns for arrival time, the
-two 64-bit halves of the source/destination addresses, protocol, port,
-origin ASN and an interned payload id.
-
-Key equivalences with the object path (checked by the differential tests
-in ``tests/test_core_columnar.py``):
+Every captured probe is one row of a :class:`PacketTable` — per-telescope
+NumPy columns for arrival time, the two 64-bit halves of the source and
+destination addresses, protocol, port, origin ASN and an interned payload
+id — from emission through sessionization, so corpora of the paper's
+51M packets stay tractable. The shared hot paths run here:
 
 - source aggregation (§3.3) is a shift on the ``src_hi`` column —
   ``/64`` keys are ``src_hi`` itself, ``/48`` keys are ``src_hi >> 16``;
 - sessionization is one stable ``lexsort`` by (source key, time) plus a
-  boundary scan ``(gap >= timeout) | (key changed)`` — identical cuts to
-  the per-source Python loop in :func:`repro.core.sessions.sessionize`;
+  boundary scan ``(gap >= timeout) | (key changed)``; the analyses read
+  every session through the row layout :func:`sessionize_table` keeps on
+  its :class:`SessionSet`;
 - phase slicing is a ``searchsorted`` on the time-sorted table.
-
-The analyses read every session through the row layout
-:func:`sessionize_table` keeps on its :class:`SessionSet`. The
-:class:`Session` objects produced here still carry a :class:`PacketSlice`
-— a lazy sequence that materializes ``Packet`` objects only when an
-object caller iterates it, reusing the corpus' existing objects when the
-table was built from one.
 """
 
 from __future__ import annotations
 
-import gc
 from typing import Iterator, Sequence
 
 import numpy as np
 
 from repro import obs
 from repro.core.aggregation import AggregationLevel
-from repro.core.sessions import DEFAULT_TIMEOUT, Session, SessionSet
+from repro.core.sessions import DEFAULT_TIMEOUT, SessionSet
 from repro.errors import AnalysisError
 from repro.telescope.packet import Packet, Protocol
 
@@ -56,15 +44,14 @@ class PacketTable:
 
     __slots__ = ("time", "src_hi", "src_lo", "dst_hi", "dst_lo",
                  "protocol", "dst_port", "src_asn", "scanner_id",
-                 "payload_id", "payloads", "_objects", "_time_sorted")
+                 "payload_id", "payloads", "_time_sorted")
 
     def __init__(self, time: np.ndarray, src_hi: np.ndarray,
                  src_lo: np.ndarray, dst_hi: np.ndarray,
                  dst_lo: np.ndarray, protocol: np.ndarray,
                  dst_port: np.ndarray, src_asn: np.ndarray,
                  scanner_id: np.ndarray, payload_id: np.ndarray,
-                 payloads: list[bytes],
-                 objects: list[Packet] | None = None) -> None:
+                 payloads: list[bytes]) -> None:
         n = len(time)
         for name, column in (("src_hi", src_hi), ("src_lo", src_lo),
                              ("dst_hi", dst_hi), ("dst_lo", dst_lo),
@@ -75,9 +62,6 @@ class PacketTable:
             if len(column) != n:
                 raise AnalysisError(
                     f"column {name} has {len(column)} rows, expected {n}")
-        if objects is not None and len(objects) != n:
-            raise AnalysisError(
-                f"object backing has {len(objects)} rows, expected {n}")
         self.time = time
         self.src_hi = src_hi
         self.src_lo = src_lo
@@ -89,7 +73,6 @@ class PacketTable:
         self.scanner_id = scanner_id
         self.payload_id = payload_id
         self.payloads = payloads
-        self._objects = objects
         self._time_sorted: bool | None = None
 
     # -- construction ------------------------------------------------------
@@ -105,7 +88,7 @@ class PacketTable:
                    src_asn=np.empty(0, dtype=np.uint32),
                    scanner_id=np.empty(0, dtype=np.int64),
                    payload_id=np.empty(0, dtype=np.int64),
-                   payloads=[], objects=[])
+                   payloads=[])
 
     @classmethod
     def from_packets(cls, packets: Sequence[Packet]) -> "PacketTable":
@@ -145,9 +128,7 @@ class PacketTable:
         return cls(time=time, src_hi=src_hi, src_lo=src_lo, dst_hi=dst_hi,
                    dst_lo=dst_lo, protocol=protocol, dst_port=dst_port,
                    src_asn=src_asn, scanner_id=scanner_id,
-                   payload_id=payload_id, payloads=payloads,
-                   objects=packets if isinstance(packets, list)
-                   else list(packets))
+                   payload_id=payload_id, payloads=payloads)
 
     # -- basic protocol ----------------------------------------------------
 
@@ -156,29 +137,21 @@ class PacketTable:
 
     # -- row materialization ----------------------------------------------
 
-    def packet(self, i: int) -> Packet:
-        """The ``Packet`` object for row ``i`` (reused if available)."""
-        if self._objects is not None:
-            return self._objects[i]
-        return self._build_packet(i)
-
     def to_packets(self) -> list[Packet]:
-        """Materialize (and cache) all rows as ``Packet`` objects."""
-        if self._objects is None:
-            self._objects = [self._build_packet(i) for i in range(len(self))]
-        return self._objects
-
-    def _build_packet(self, i: int) -> Packet:
-        pid = int(self.payload_id[i])
-        return Packet(
-            time=float(self.time[i]),
-            src=(int(self.src_hi[i]) << 64) | int(self.src_lo[i]),
-            dst=(int(self.dst_hi[i]) << 64) | int(self.dst_lo[i]),
-            protocol=Protocol(int(self.protocol[i])),
-            dst_port=int(self.dst_port[i]),
-            payload=self.payloads[pid] if pid != NO_PAYLOAD else None,
-            src_asn=int(self.src_asn[i]),
-            scanner_id=int(self.scanner_id[i]))
+        """Every row as a ``Packet`` record, in row order."""
+        payloads = self.payloads
+        return [Packet(time=time, src=(src_hi << 64) | src_lo,
+                       dst=(dst_hi << 64) | dst_lo,
+                       protocol=Protocol(protocol), dst_port=dst_port,
+                       payload=payloads[pid] if pid != NO_PAYLOAD else None,
+                       src_asn=src_asn, scanner_id=scanner_id)
+                for (time, src_hi, src_lo, dst_hi, dst_lo, protocol,
+                     dst_port, src_asn, scanner_id, pid)
+                in zip(self.time.tolist(), self.src_hi.tolist(),
+                       self.src_lo.tolist(), self.dst_hi.tolist(),
+                       self.dst_lo.tolist(), self.protocol.tolist(),
+                       self.dst_port.tolist(), self.src_asn.tolist(),
+                       self.scanner_id.tolist(), self.payload_id.tolist())]
 
     # -- time ordering and phase slicing ----------------------------------
 
@@ -198,9 +171,6 @@ class PacketTable:
 
     def take(self, indices: np.ndarray) -> "PacketTable":
         """A new table holding the given rows, in the given order."""
-        objects = None
-        if self._objects is not None:
-            objects = [self._objects[i] for i in indices.tolist()]
         return PacketTable(
             time=self.time[indices], src_hi=self.src_hi[indices],
             src_lo=self.src_lo[indices], dst_hi=self.dst_hi[indices],
@@ -208,7 +178,7 @@ class PacketTable:
             dst_port=self.dst_port[indices], src_asn=self.src_asn[indices],
             scanner_id=self.scanner_id[indices],
             payload_id=self.payload_id[indices],
-            payloads=self.payloads, objects=objects)
+            payloads=self.payloads)
 
     def slice_time(self, start: float, end: float) -> "PacketTable":
         """Rows with ``start <= time < end`` (table must be time-sorted)."""
@@ -222,7 +192,6 @@ class PacketTable:
             return self._row_slice(lo, hi)
 
     def _row_slice(self, lo: int, hi: int) -> "PacketTable":
-        objects = self._objects[lo:hi] if self._objects is not None else None
         table = PacketTable(
             time=self.time[lo:hi], src_hi=self.src_hi[lo:hi],
             src_lo=self.src_lo[lo:hi], dst_hi=self.dst_hi[lo:hi],
@@ -230,7 +199,7 @@ class PacketTable:
             dst_port=self.dst_port[lo:hi], src_asn=self.src_asn[lo:hi],
             scanner_id=self.scanner_id[lo:hi],
             payload_id=self.payload_id[lo:hi],
-            payloads=self.payloads, objects=objects)
+            payloads=self.payloads)
         table._time_sorted = self._time_sorted
         return table
 
@@ -682,171 +651,54 @@ def concat_tables(tables: Sequence[PacketTable]) -> PacketTable:
         payloads=payloads)
 
 
-class PacketSlice:
-    """Lazy, immutable sequence of table rows behaving like list[Packet].
-
-    ``Session.packets`` points at one of these: length, truthiness and
-    equality are cheap; iterating or indexing materializes ``Packet``
-    objects (reusing the table's object backing when present). Rows are
-    ``order[lo:hi]`` of a shared permutation array — the window is kept
-    as two ints so creating millions of slices allocates no per-slice
-    index arrays.
-    """
-
-    __slots__ = ("_table", "_order", "_lo", "_hi", "_cache")
-
-    def __init__(self, table: PacketTable, rows: np.ndarray) -> None:
-        self._table = table
-        self._order = rows
-        self._lo = 0
-        self._hi = len(rows)
-        self._cache: list[Packet] | None = None
-
-    def __len__(self) -> int:
-        return self._hi - self._lo
-
-    def __bool__(self) -> bool:
-        return self._hi > self._lo
-
-    def _materialize(self) -> list[Packet]:
-        if self._cache is None:
-            table = self._table
-            rows = self._order[self._lo:self._hi].tolist()
-            objects = table._objects
-            if objects is not None:
-                self._cache = [objects[i] for i in rows]
-            else:
-                self._cache = [table.packet(i) for i in rows]
-        return self._cache
-
-    def __iter__(self) -> Iterator[Packet]:
-        return iter(self._materialize())
-
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return self._materialize()[index]
-        if self._cache is not None:
-            return self._cache[index]
-        n = self._hi - self._lo
-        if index < 0:
-            index += n
-        if not 0 <= index < n:
-            raise IndexError(index)
-        return self._table.packet(int(self._order[self._lo + index]))
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, PacketSlice):
-            return self._materialize() == other._materialize()
-        if isinstance(other, list):
-            return self._materialize() == other
-        return NotImplemented
-
-    def __repr__(self) -> str:
-        return f"PacketSlice({len(self)} packets)"
-
-
 def sessionize_table(table: PacketTable, telescope: str = "",
                      level: AggregationLevel = AggregationLevel.ADDR,
                      timeout: float = DEFAULT_TIMEOUT) -> SessionSet:
-    """Vectorized :func:`repro.core.sessions.sessionize` over a table.
+    """Group a table's packets into scan sessions.
 
-    Produces byte-identical session boundaries, source keys and ordering
-    to the object path: one stable lexsort by (aggregated source, time)
-    replaces the per-source dict + per-stream sort, and one boundary scan
-    over adjacent rows replaces the per-packet gap loop.
+    Packets are grouped per aggregated source, ordered by arrival, and
+    cut whenever the gap to the previous packet reaches ``timeout``: one
+    stable lexsort by (source key, time) and one boundary scan over
+    adjacent rows. Sessions are ordered by start, ties by source key;
+    equal arrival times keep their table order.
     """
     if timeout <= 0:
         raise AnalysisError(f"session timeout must be > 0, got {timeout}")
-    result = SessionSet(telescope=telescope, level=level, timeout=timeout)
     n = len(table)
     if n == 0:
         empty = np.empty(0, dtype=np.int64)
-        result.table, result.rows = table, empty
-        result.bounds, result.run_of = np.zeros(1, dtype=np.int64), empty
-        return result
+        return SessionSet(telescope=telescope, level=level, timeout=timeout,
+                          table=table, rows=empty,
+                          bounds=np.zeros(1, dtype=np.int64), run_of=empty)
     with obs.span("columnar.sessionize", telescope=telescope,
                   level=level.name, packets=n) as obs_span:
-        _sessionize_into(result, table, telescope, level, timeout, n)
-        obs_span.set(sessions=len(result.sessions))
+        key_hi, key_lo = table.source_key_columns(level)
+        if key_hi is None:
+            order = np.lexsort((table.time, key_lo))
+        else:
+            order = np.lexsort((table.time, key_lo, key_hi))
+        t = table.time[order]
+        kl = key_lo[order]
+        boundary = kl[1:] != kl[:-1]
+        if key_hi is not None:
+            kh = key_hi[order]
+            boundary |= kh[1:] != kh[:-1]
+        boundary |= (t[1:] - t[:-1]) >= timeout
+        bounds = np.concatenate(
+            (np.zeros(1, dtype=np.int64), np.flatnonzero(boundary) + 1,
+             np.full(1, n, dtype=np.int64)))
+        # runs come in (source, time) order; one stable argsort over
+        # their starts orders the sessions by start
+        starts = t[bounds[:-1]]
+        run_of = np.argsort(starts, kind="stable")
+        result = SessionSet(telescope=telescope, level=level,
+                            timeout=timeout, table=table, rows=order,
+                            bounds=bounds, run_of=run_of)
+        result._columns["starts"] = starts[run_of]
+        obs_span.set(sessions=len(result))
     if obs.current() is not None:
         obs.add("columnar.packets_sessionized_total", n,
                 telescope=telescope)
-        obs.add("columnar.sessions_total", len(result.sessions),
+        obs.add("columnar.sessions_total", len(result),
                 telescope=telescope)
     return result
-
-
-def _sessionize_into(result: SessionSet, table: PacketTable, telescope: str,
-                     level: AggregationLevel, timeout: float,
-                     n: int) -> None:
-    key_hi, key_lo = table.source_key_columns(level)
-    if key_hi is None:
-        order = np.lexsort((table.time, key_lo))
-    else:
-        order = np.lexsort((table.time, key_lo, key_hi))
-
-    t = table.time[order]
-    kl = key_lo[order]
-    boundary = kl[1:] != kl[:-1]
-    if key_hi is not None:
-        kh = key_hi[order]
-        boundary |= kh[1:] != kh[:-1]
-    boundary |= (t[1:] - t[:-1]) >= timeout
-
-    bounds = np.concatenate(
-        (np.zeros(1, dtype=np.int64), np.flatnonzero(boundary) + 1,
-         np.full(1, n, dtype=np.int64)))
-    firsts = bounds[:-1]
-    # the object path emits sessions per ascending source then stably
-    # re-sorts by start time; lexsort already yields (source, time) order,
-    # so one stable argsort over the starts reproduces the final order
-    session_order = np.argsort(t[firsts], kind="stable")
-
-    result.table, result.rows = table, order
-    result.bounds, result.run_of = bounds, session_order
-    firsts_sorted = firsts[session_order]
-    ends_sorted = bounds[1:][session_order]
-    starts, ends = t[firsts_sorted], t[ends_sorted - 1]
-    result._columns["starts"] = starts
-    lo_list = firsts_sorted.tolist()
-    hi_list = ends_sorted.tolist()
-    kl_firsts = kl[firsts_sorted].tolist()
-    kh_firsts = kh[firsts_sorted].tolist() if key_hi is not None else None
-
-    # sessions are built through __new__ + direct slot assignment: the
-    # dataclass __init__/__post_init__ pair costs more than all the numpy
-    # work above on large corpora, and every slice here is non-empty by
-    # construction. Generational GC is paused around the bulk allocation —
-    # every gen-0 pass it triggers would traverse the multi-million-object
-    # corpus, which dominates the whole sessionization otherwise.
-    sessions = result.sessions
-    append = sessions.append
-    new_session = Session.__new__
-    new_slice = PacketSlice.__new__
-    if kh_firsts is not None:
-        sources = [(kh << 64) | kl
-                   for kh, kl in zip(kh_firsts, kl_firsts)]
-    else:
-        sources = kl_firsts
-    gc_was_enabled = gc.isenabled()
-    if gc_was_enabled:
-        gc.disable()
-    try:
-        for source, lo, hi, start, end in zip(
-                sources, lo_list, hi_list, starts.tolist(), ends.tolist()):
-            packets = new_slice(PacketSlice)
-            packets._table = table
-            packets._order = order
-            packets._lo = lo
-            packets._hi = hi
-            packets._cache = None
-            session = new_session(Session)
-            session.source = source
-            session.telescope = telescope
-            session.packets = packets
-            session.start = start
-            session.end = end
-            append(session)
-    finally:
-        if gc_was_enabled:
-            gc.enable()

@@ -79,30 +79,28 @@ def dbscan(points: Sequence, eps: float, min_samples: int,
             labels[i] = NOISE
             continue
         labels[i] = cluster
-        queue = [j for j in neighborhood if j != i]
+        queue = _claim(neighborhood, labels, cluster)
         while queue:
-            j = queue.pop()
-            if labels[j] == NOISE:
-                labels[j] = cluster  # border point
-            if labels[j] is not None:
-                continue
-            labels[j] = cluster
-            j_neighbors = neighbors_of(j)
+            j_neighbors = neighbors_of(queue.pop())
             if len(j_neighbors) >= min_samples:
-                # NOISE neighbors are density-reachable border points and
-                # must be upgraded too, not only unvisited ones
-                queue.extend(k for k in j_neighbors
-                             if labels[k] is None or labels[k] == NOISE)
+                queue.extend(_claim(j_neighbors, labels, cluster))
         cluster += 1
-    return [NOISE if label is None else label for label in labels]
+    return labels
 
 
-def cluster_sizes(labels: Sequence[int]) -> dict[int, int]:
-    """Histogram of cluster labels (noise included under -1)."""
-    sizes: dict[int, int] = {}
-    for label in labels:
-        sizes[label] = sizes.get(label, 0) + 1
-    return sizes
+def _claim(neighborhood: list[int], labels: list, cluster: int) -> list[int]:
+    """Give ``cluster`` the points of a core point's neighbourhood that
+    no cluster holds; returns the unvisited ones, which still need
+    expanding. Labelling a point when it is queued queues it at most
+    once; a NOISE point is a border point and is never expanded."""
+    fresh = []
+    for k in neighborhood:
+        if labels[k] is None:
+            labels[k] = cluster
+            fresh.append(k)
+        elif labels[k] == NOISE:
+            labels[k] = cluster
+    return fresh
 
 
 def num_clusters(labels: Sequence[int]) -> int:

@@ -18,13 +18,13 @@ from typing import Sequence
 import numpy as np
 
 from repro.bgp.controller import AnnouncementCycle
-from repro.core.columnar import PacketTable, distinct_rows, first_arrivals
-from repro.core.sessions import Session, SessionSet
+from repro.core.columnar import (PacketTable, distinct_rows,
+                                 first_arrivals, join_halves, row_changes)
+from repro.core.sessions import SessionSet
 from repro.errors import AnalysisError
-from repro.net.lpm import NO_MATCH, build_matcher
+from repro.net.lpm import NO_MATCH, build_matcher, contains_mask
 from repro.net.prefix import Prefix
 from repro.sim.clock import DAY
-from repro.telescope.packet import Packet
 
 
 def most_specific_slots(cycle: AnnouncementCycle, dst_hi: np.ndarray,
@@ -144,7 +144,7 @@ class SplitHalfComparison:
         return self.split_packets / self.stable_packets - 1.0
 
 
-def split_half_comparison(packets: list[Packet], t1_prefix: Prefix,
+def split_half_comparison(table: PacketTable, t1_prefix: Prefix,
                           cycles: list[AnnouncementCycle]) \
         -> SplitHalfComparison:
     """The +286% comparison: split /33 segment vs stable companion /33.
@@ -158,16 +158,13 @@ def split_half_comparison(packets: list[Packet], t1_prefix: Prefix,
         raise AnalysisError("no split cycles")
     start = split_cycles[0].announce_time
     end = split_cycles[-1].withdraw_time
-    stable = split_count = 0
-    for p in packets:
-        if not start <= p.time < end:
-            continue
-        if stable_half.contains_address(p.dst):
-            stable += 1
-        elif split_half.contains_address(p.dst):
-            split_count += 1
-    return SplitHalfComparison(stable_packets=stable,
-                               split_packets=split_count)
+    inside = (table.time >= start) & (table.time < end)
+    dst_hi, dst_lo = table.dst_hi[inside], table.dst_lo[inside]
+    return SplitHalfComparison(
+        stable_packets=int(np.count_nonzero(
+            contains_mask(stable_half, dst_hi, dst_lo))),
+        split_packets=int(np.count_nonzero(
+            contains_mask(split_half, dst_hi, dst_lo))))
 
 
 @dataclass(frozen=True, slots=True)
@@ -199,7 +196,7 @@ def cycle_activity(session_sets: Sequence[SessionSet],
     return result
 
 
-def baseline_split_growth(sessions: list[Session],
+def baseline_split_growth(session_set: SessionSet,
                           cycles: list[AnnouncementCycle],
                           attr: str = "sources") -> float:
     """Average weekly activity in the split period vs the baseline.
@@ -215,14 +212,16 @@ def baseline_split_growth(sessions: list[Session],
     split = [c for c in cycles if c.index > 0]
     if not split:
         raise AnalysisError("no split cycles")
+    starts = session_set.starts()
+    codes = session_set.source_codes()
 
     def weekly_rate(start: float, end: float) -> float:
         weeks = max((end - start) / (7 * DAY), 1e-9)
-        in_window = [s for s in sessions if start <= s.start < end]
+        lo, hi = np.searchsorted(starts, (start, end))
         if attr == "sources":
-            value = len({s.source for s in in_window})
+            value = len(np.unique(codes[lo:hi]))
         else:
-            value = len(in_window)
+            value = int(hi - lo)
         return value / weeks
 
     base_rate = weekly_rate(baseline.announce_time, baseline.withdraw_time)
@@ -233,7 +232,7 @@ def baseline_split_growth(sessions: list[Session],
     return sum(split_rates) / len(split_rates) / base_rate - 1.0
 
 
-def live_monitors(packets: list[Packet], cycles: list[AnnouncementCycle],
+def live_monitors(table: PacketTable, cycles: list[AnnouncementCycle],
                   within: float = 1800.0) -> set[int]:
     """Sources reliably arriving within ``within`` seconds of announcements.
 
@@ -241,21 +240,31 @@ def live_monitors(packets: list[Packet], cycles: list[AnnouncementCycle],
     appears lands within the reaction window, and it appears in at least
     two cycles (the paper's "reliably observe" criterion).
     """
-    first_arrival: dict[tuple[int, int], float] = {}
+    his, los, delays = [], [], []
     for cycle in cycles:
         if cycle.index == 0:
             continue
-        for p in packets:
-            if cycle.announce_time <= p.time < cycle.withdraw_time:
-                key = (p.src, cycle.index)
-                if key not in first_arrival or p.time < first_arrival[key]:
-                    first_arrival[key] = p.time
-    per_source: dict[int, list[float]] = {}
-    announce_at = {c.index: c.announce_time for c in cycles}
-    for (src, index), t in first_arrival.items():
-        per_source.setdefault(src, []).append(t - announce_at[index])
-    return {src for src, delays in per_source.items()
-            if len(delays) >= 2 and all(d <= within for d in delays)}
+        inside = (table.time >= cycle.announce_time) \
+            & (table.time < cycle.withdraw_time)
+        src_hi, src_lo = table.src_hi[inside], table.src_lo[inside]
+        # one (source, cycle) pair per source: its first arrival
+        firsts = first_arrivals(src_hi, src_lo, table.time[inside])
+        hi, lo = distinct_rows(src_hi, src_lo)
+        his.append(hi)
+        los.append(lo)
+        delays.append(firsts - cycle.announce_time)
+    if not his:
+        return set()
+    hi, lo = np.concatenate(his), np.concatenate(los)
+    delay = np.concatenate(delays)
+    order = np.lexsort((lo, hi))
+    hi, lo, delay = hi[order], lo[order], delay[order]
+    starts = np.flatnonzero(row_changes(hi, lo))
+    cycles_seen = np.diff(starts, append=len(hi))
+    slowest = np.maximum.reduceat(delay, starts) if len(starts) \
+        else delay[:0]
+    monitors = (cycles_seen >= 2) & (slowest <= within)
+    return set(join_halves(hi[starts][monitors], lo[starts][monitors]))
 
 
 def new_source_prefixes_per_day(tables: Sequence[PacketTable],

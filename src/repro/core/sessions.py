@@ -9,52 +9,16 @@ T = 1 hour; no minimum packet or target count is applied.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Iterable, Iterator
+from typing import Any
 
 import numpy as np
 
-from repro.core.aggregation import AggregationLevel, source_key
-from repro.errors import AnalysisError
+from repro.core.aggregation import AggregationLevel
 from repro.sim.clock import HOUR
-from repro.telescope.packet import Packet, Protocol
+from repro.telescope.packet import Protocol
 
 #: The paper's session timeout.
 DEFAULT_TIMEOUT = HOUR
-
-
-@dataclass(slots=True)
-class Session:
-    """One scan session of one (aggregated) source at one telescope."""
-
-    source: int
-    telescope: str
-    packets: list[Packet]
-    #: arrival times of the first and the last packet
-    start: float = field(init=False, compare=False)
-    end: float = field(init=False, compare=False)
-
-    def __post_init__(self) -> None:
-        if not self.packets:
-            raise AnalysisError("a session needs at least one packet")
-        self.start = self.packets[0].time
-        self.end = self.packets[-1].time
-
-    @property
-    def duration(self) -> float:
-        return self.end - self.start
-
-    def __len__(self) -> int:
-        return len(self.packets)
-
-    def protocols(self) -> set[Protocol]:
-        return {p.protocol for p in self.packets}
-
-    def targets(self) -> list[int]:
-        return [p.dst for p in self.packets]
-
-    def distinct_targets(self) -> set[int]:
-        return {p.dst for p in self.packets}
-
 
 #: Bit of each protocol in :meth:`SessionSet.protocol_masks`.
 PROTOCOL_BIT = {protocol: 1 << i for i, protocol in enumerate(Protocol)}
@@ -76,34 +40,30 @@ def protocol_session_counts(masks: np.ndarray) -> dict[Protocol, int]:
 class SessionSet:
     """All sessions of one telescope at one aggregation level.
 
-    :func:`repro.core.columnar.sessionize_table` also keeps its row
-    layout: ``table`` rows ``rows[bounds[r]:bounds[r + 1]]`` are one
-    session, in arrival order, and ``sessions[i]`` is run
-    ``run_of[i]``. Column kernels read every session through it: the
-    per-session columns below are in ``sessions`` order and computed
-    once per set.
+    :func:`repro.core.columnar.sessionize_table` builds it as a row
+    layout over ``table``: the runs ``rows[bounds[r]:bounds[r + 1]]``
+    are the sessions in (source, start) order, each in arrival order,
+    and session ``i`` is run ``run_of[i]``, so sessions are ordered by
+    start. Column kernels read every session through it: the
+    per-session columns below are in session order and computed once
+    per set.
     """
 
     telescope: str
     level: AggregationLevel
     timeout: float
-    sessions: list[Session] = field(default_factory=list)
-    table: Any = field(default=None, compare=False, repr=False)
-    rows: Any = field(default=None, compare=False, repr=False)
-    bounds: Any = field(default=None, compare=False, repr=False)
-    run_of: Any = field(default=None, compare=False, repr=False)
+    table: Any = field(compare=False, repr=False)
+    rows: Any = field(compare=False, repr=False)
+    bounds: Any = field(compare=False, repr=False)
+    run_of: Any = field(compare=False, repr=False)
     _columns: dict = field(default_factory=dict, compare=False, repr=False)
 
     def __len__(self) -> int:
-        return len(self.sessions)
+        return len(self.run_of)
 
     def _cached(self, name: str, build):
         value = self._columns.get(name)
         if value is None:
-            if self.table is None:
-                raise AnalysisError(
-                    "session set has no row layout (build it with "
-                    "repro.core.columnar.sessionize_table)")
             value = self._columns[name] = build()
         return value
 
@@ -129,7 +89,7 @@ class SessionSet:
     def row_sessions(self) -> np.ndarray:
         """Session index of every row of :meth:`session_rows`."""
         return self._cached("row_sessions", lambda: np.repeat(
-            np.arange(len(self.sessions)), self.sizes()))
+            np.arange(len(self)), self.sizes()))
 
     def starts(self) -> np.ndarray:
         """Arrival time of each session's first packet."""
@@ -188,60 +148,10 @@ class SessionSet:
             self.source_codes(), minlength=len(self._source_index()[1])))
 
     def source_keys(self) -> list[int]:
-        """Distinct source keys in order of their first session: the
-        order of :meth:`by_source`."""
-        return self._cached("source_keys", lambda: [
-            self.sessions[i].source
-            for i in self._source_index()[1].tolist()])
-
-    def __iter__(self) -> Iterator[Session]:
-        return iter(self.sessions)
-
-    def sources(self) -> set[int]:
-        return {s.source for s in self.sessions}
-
-    def by_source(self) -> dict[int, list[Session]]:
-        grouped: dict[int, list[Session]] = {}
-        for session in self.sessions:
-            grouped.setdefault(session.source, []).append(session)
-        for sessions in grouped.values():
-            sessions.sort(key=lambda s: s.start)
-        return grouped
-
-    def total_packets(self) -> int:
-        return sum(len(s) for s in self.sessions)
-
-
-def sessionize(packets: Iterable[Packet], telescope: str = "",
-               level: AggregationLevel = AggregationLevel.ADDR,
-               timeout: float = DEFAULT_TIMEOUT) -> SessionSet:
-    """Group packets into scan sessions.
-
-    Packets are grouped per aggregated source, ordered by arrival, and cut
-    whenever the gap to the previous packet reaches ``timeout``.
-    """
-    if timeout <= 0:
-        raise AnalysisError(f"session timeout must be > 0, got {timeout}")
-    per_source: dict[int, list[Packet]] = {}
-    for packet in packets:
-        per_source.setdefault(source_key(packet.src, level),
-                              []).append(packet)
-    result = SessionSet(telescope=telescope, level=level, timeout=timeout)
-    for source in sorted(per_source):
-        stream = per_source[source]
-        # captures append in arrival order, so streams are usually already
-        # time-sorted; only pay for the sort when a pair is out of order
-        if any(b.time < a.time for a, b in zip(stream, stream[1:])):
-            stream.sort(key=lambda p: p.time)
-        current: list[Packet] = [stream[0]]
-        for packet in stream[1:]:
-            if packet.time - current[-1].time >= timeout:
-                result.sessions.append(Session(
-                    source=source, telescope=telescope, packets=current))
-                current = [packet]
-            else:
-                current.append(packet)
-        result.sessions.append(Session(
-            source=source, telescope=telescope, packets=current))
-    result.sessions.sort(key=lambda s: s.start)
-    return result
+        """Distinct source keys in order of their first session."""
+        def build():
+            firsts = self._source_index()[1]
+            hi, lo = self.source_columns()
+            return [(h << 64) | l for h, l in zip(hi[firsts].tolist(),
+                                                  lo[firsts].tolist())]
+        return self._cached("source_keys", build)

@@ -78,9 +78,6 @@ class ExperimentConfig:
 
     seed: int = 42
     scale: float = 1.0
-    #: emission path: True = batched session kernel, False = per-packet
-    #: oracle.
-    batch_emit: bool = True
     baseline_weeks: int = 12
     cycle_weeks: int = 2
     num_cycles: int = 16

@@ -76,14 +76,13 @@ def merge_chunked_shards(
 class PacketCorpus:
     """Captured packets plus metadata lookups.
 
-    Packets are held both as object lists (``packets_by_telescope``) and
-    as columnar :class:`PacketTable` views (``tables_by_telescope``); a
-    corpus may be constructed from either representation and the other is
-    materialized lazily on first access.
+    Packets are held as one columnar :class:`PacketTable` per telescope
+    (``tables_by_telescope``). :meth:`packets` materializes a telescope's
+    rows as ``Packet`` records on request and keeps them in
+    ``packets_by_telescope``.
     """
 
     config: ExperimentConfig
-    packets_by_telescope: dict[str, list[Packet]] | None
     schedule: list[AnnouncementCycle]
     registry: ASRegistry
     resolver: Resolver
@@ -93,6 +92,8 @@ class PacketCorpus:
     t4_prefix: Prefix
     attractor_addr: int = 0
     tables_by_telescope: dict[str, PacketTable] = field(default_factory=dict)
+    packets_by_telescope: dict[str, list[Packet]] = field(
+        default_factory=dict)
     #: per-telescope capture outages as sorted (start, end) windows — from
     #: fault-injected blackouts or segments quarantined on load. Analyses
     #: use :meth:`covered_fraction` to normalize by covered time instead
@@ -102,11 +103,8 @@ class PacketCorpus:
     _phase_table_cache: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        if self.packets_by_telescope is None:
-            self.packets_by_telescope = {}
         for name in TELESCOPE_NAMES:
-            if name not in self.packets_by_telescope \
-                    and name not in self.tables_by_telescope:
+            if name not in self.tables_by_telescope:
                 raise AnalysisError(f"corpus missing telescope {name}")
 
     # -- access ------------------------------------------------------------
@@ -115,33 +113,23 @@ class PacketCorpus:
         return TELESCOPE_NAMES
 
     def packets(self, telescope: str) -> list[Packet]:
+        """A telescope's rows as ``Packet`` records (built on first use)."""
         packets = self.packets_by_telescope.get(telescope)
-        if packets is not None:
-            return packets
-        table = self.tables_by_telescope.get(telescope)
-        if table is None:
-            raise AnalysisError(f"unknown telescope {telescope!r}")
-        packets = table.to_packets()
-        self.packets_by_telescope[telescope] = packets
+        if packets is None:
+            packets = self.table(telescope).to_packets()
+            self.packets_by_telescope[telescope] = packets
         return packets
 
     def table(self, telescope: str) -> PacketTable:
-        """Columnar view of a telescope's capture (built on first use)."""
+        """Columnar view of a telescope's capture."""
         table = self.tables_by_telescope.get(telescope)
         if table is None:
-            table = PacketTable.from_packets(self.packets(telescope))
-            self.tables_by_telescope[telescope] = table
+            raise AnalysisError(f"unknown telescope {telescope!r}")
         return table
 
     def total_packets(self) -> int:
-        total = 0
-        for name in TELESCOPE_NAMES:
-            packets = self.packets_by_telescope.get(name)
-            if packets is not None:
-                total += len(packets)
-            else:
-                total += len(self.tables_by_telescope[name])
-        return total
+        return sum(len(self.tables_by_telescope[name])
+                   for name in TELESCOPE_NAMES)
 
     def phase_table(self, telescope: str, phase: Phase) -> PacketTable:
         """Columnar phase slice: a ``searchsorted`` on the sorted table."""

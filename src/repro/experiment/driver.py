@@ -29,7 +29,6 @@ from repro import obs
 from repro.obs import events as obsevents
 from repro.obs import ledger as obsledger
 from repro.bgp.messages import UpdateKind
-from repro.errors import ExperimentError
 from repro.experiment import checkpoint as ckpt
 from repro.experiment.config import ExperimentConfig
 from repro.experiment.corpus import PacketCorpus, merge_chunked_shards
@@ -174,15 +173,13 @@ def population_for(config: ExperimentConfig, deployment: Deployment,
     return build_population(config.population, inputs, registry, streams)
 
 
-def context_for(config: ExperimentConfig, deployment: Deployment,
-                batch_emit: bool) -> ScannerContext:
+def context_for(config: ExperimentConfig,
+                deployment: Deployment) -> ScannerContext:
     """The scanners' view of ``deployment`` for the whole campaign."""
     return ScannerContext(
         simulator=deployment.simulator,
-        route=deployment.route,
-        route_batch=deployment.route_batch,
-        batch_emit=batch_emit,
-        defer_batch=batch_emit,
+        route=deployment.route_batch,
+        defer_batch=True,
         collector=deployment.collector,
         window_start=0.0,
         window_end=config.duration)
@@ -199,12 +196,11 @@ def _build_stages(config, registry, tracer, stage_seconds) \
     return deployment, population
 
 
-def _corpus(config, registry, deployment, tables, coverage_gaps,
-            packets_by_telescope=None) -> PacketCorpus:
+def _corpus(config, registry, deployment, tables,
+            coverage_gaps) -> PacketCorpus:
     """The campaign's corpus around its per-telescope packet ``tables``."""
     return PacketCorpus(
         config=config,
-        packets_by_telescope=packets_by_telescope,
         tables_by_telescope=tables,
         schedule=deployment.cycles(),
         registry=registry,
@@ -234,13 +230,12 @@ def run_experiment(config: ExperimentConfig | None = None,
     ``shards`` (an int or ``"auto"``) partitions the scanner population
     across that many worker processes, each running its own event loop
     against a replica of the deployment; the merged corpus is
-    byte-identical to the unsharded build (DESIGN §8). Sharding
-    requires the batched emission path. Workers run under the
-    :class:`~repro.experiment.sharding.ShardSupervisor`: crashed or
-    hung workers are retried per ``config.retry_policy`` (with
-    per-shard timeouts derived from ``config.shard_timeout`` and the
-    LPT cost model), and ``config.on_shard_failure`` picks between a
-    terminal :class:`~repro.errors.ShardError` and quarantining the
+    byte-identical to the unsharded build (DESIGN §8). Workers run
+    under the :class:`~repro.experiment.sharding.ShardSupervisor`:
+    crashed or hung workers are retried per ``config.retry_policy``
+    (with per-shard timeouts derived from ``config.shard_timeout`` and
+    the LPT cost model), and ``config.on_shard_failure`` picks between
+    a terminal :class:`~repro.errors.ShardError` and quarantining the
     shard as coverage gaps.
 
     ``checkpoint_dir`` makes the run crash-safe. It runs through the
@@ -291,7 +286,7 @@ def run_experiment(config: ExperimentConfig | None = None,
                      seed=config.seed, scale=config.scale):
         deployment, population = _build_stages(config, registry, tracer,
                                                stage_seconds)
-        context = context_for(config, deployment, config.batch_emit)
+        context = context_for(config, deployment)
 
         with _stage(tracer, "schedule_scanners", stage_seconds,
                     scanners=len(population)):
@@ -315,18 +310,12 @@ def run_experiment(config: ExperimentConfig | None = None,
             if recorder is not None:
                 recorder.detach(deployment.simulator)
 
-        if config.batch_emit:
-            # sessions only *resolved* during the run materialize now, one
-            # cross-session kernel call per scanner
-            with _stage(tracer, "flush_batches", stage_seconds):
-                context.flush_batches()
+        # sessions only *resolved* during the run materialize now, one
+        # cross-session kernel call per scanner
+        with _stage(tracer, "flush_batches", stage_seconds):
+            context.flush_batches()
 
         with _stage(tracer, "package_corpus", stage_seconds):
-            # batch runs package columns only — Packet objects materialize
-            # lazily if an analysis asks for them
-            packets_by = None if config.batch_emit else {
-                name: telescope.capture.packets()
-                for name, telescope in deployment.telescopes.items()}
             corpus = _corpus(
                 config, registry, deployment,
                 tables={name: telescope.capture.table()
@@ -335,8 +324,7 @@ def run_experiment(config: ExperimentConfig | None = None,
                 coverage_gaps={
                     name: tuple(telescope.capture.blackout_windows)
                     for name, telescope in deployment.telescopes.items()
-                    if telescope.capture.blackout_windows},
-                packets_by_telescope=packets_by)
+                    if telescope.capture.blackout_windows})
 
         result = ExperimentResult(
             corpus=corpus, deployment=deployment, population=population,
@@ -371,10 +359,6 @@ def _run_sharded(config, registry, faults, num_shards, tracer, recorder,
     """
     from repro.experiment import sharding
 
-    if not config.batch_emit:
-        raise ExperimentError(
-            "sharded and checkpointed runs require the batched emission "
-            "path — config.batch_emit must not be False")
     plan = faults.plan if isinstance(faults, FaultInjector) else faults
 
     stage_seconds: dict[str, float] = {}
@@ -382,7 +366,7 @@ def _run_sharded(config, registry, faults, num_shards, tracer, recorder,
                      scale=config.scale, shards=num_shards):
         deployment, population = _build_stages(config, registry, tracer,
                                                stage_seconds)
-        context = context_for(config, deployment, batch_emit=True)
+        context = context_for(config, deployment)
 
         # the coordinator replica never runs: scanners are registered
         # (RDNS for the corpus resolver) but not started

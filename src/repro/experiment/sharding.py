@@ -415,7 +415,7 @@ def _run_shard_body(task: ShardTask, stage, stage_wall: dict,
                                         streams)
             stage("build")
 
-            context = context_for(config, deployment, batch_emit=True)
+            context = context_for(config, deployment)
             assign = weighted_assignment(population, task.num_shards,
                                          config.duration, len(task.feed))
             mine = [s for s in population

@@ -452,7 +452,6 @@ def load_corpus(path: str | Path, strict: bool = True,
 
     return PacketCorpus(
         config=config,
-        packets_by_telescope={},
         tables_by_telescope=tables,
         schedule=schedule,
         registry=registry,

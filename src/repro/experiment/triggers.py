@@ -19,6 +19,7 @@ from typing import Protocol as TypingProtocol
 
 import numpy as np
 
+from repro.core.columnar import distinct_rows
 from repro.errors import ExperimentError
 from repro.net.prefix import Prefix
 from repro.scanners.base import (Scanner, ScannerContext, TemporalBehavior,
@@ -31,7 +32,9 @@ from repro.sim.clock import DAY, WEEK
 from repro.sim.events import Simulator
 from repro.sim.rng import RngStreams
 from repro.telescope.capture import PacketCapture
-from repro.telescope.telescope import Telescope, TelescopeKind
+from repro.telescope.telescope import Telescope, TelescopeKind, prefix_router
+
+_MASK64 = (1 << 64) - 1
 
 
 class Trigger(TypingProtocol):
@@ -158,11 +161,9 @@ class TriggerExperiment:
         telescope = Telescope(name="TX", kind=TelescopeKind.PASSIVE,
                               prefixes=[self.prefix],
                               capture=PacketCapture(name="TX"))
-        ctx = ScannerContext(
-            simulator=simulator,
-            route=lambda dst, now: telescope
-            if self.prefix.contains_address(dst) else None,
-            window_start=0.0, window_end=self.duration)
+        ctx = ScannerContext(simulator=simulator,
+                             route=prefix_router([telescope]),
+                             window_start=0.0, window_end=self.duration)
 
         exposed = self.trigger.exposed_addresses(self.prefix, rng)
         control = [addr ^ (1 << 16) for addr in exposed]
@@ -211,26 +212,33 @@ class TriggerExperiment:
 
         simulator.run_until(self.duration)
 
-        exposed_set = set(exposed)
-        control_set = set(control)
-        counts = {"eb": 0, "ea": 0, "cb": 0, "ca": 0}
-        reacting_sources = set()
-        for packet in telescope.capture.packets():
-            after = packet.time >= self.trigger.expose_at
-            if packet.dst in exposed_set:
-                counts["ea" if after else "eb"] += 1
-                if after and packet.src_asn in reacting_ids:
-                    reacting_sources.add(packet.src)
-            elif packet.dst in control_set:
-                counts["ca" if after else "cb"] += 1
+        table = telescope.capture.table()
+        after = table.time >= self.trigger.expose_at
+        to_exposed = _address_mask(table, exposed)
+        to_control = _address_mask(table, control) & ~to_exposed
+        reacting = to_exposed & after \
+            & np.isin(table.src_asn, list(reacting_ids))
         return TriggerResult(
             trigger_name=self.trigger.name,
             expose_at=self.trigger.expose_at,
-            exposed_packets_before=counts["eb"],
-            exposed_packets_after=counts["ea"],
-            control_packets_before=counts["cb"],
-            control_packets_after=counts["ca"],
-            reacting_sources=len(reacting_sources))
+            exposed_packets_before=_count(to_exposed & ~after),
+            exposed_packets_after=_count(to_exposed & after),
+            control_packets_before=_count(to_control & ~after),
+            control_packets_after=_count(to_control & after),
+            reacting_sources=len(distinct_rows(table.src_hi[reacting],
+                                               table.src_lo[reacting])[0]))
+
+
+def _count(mask: np.ndarray) -> int:
+    return int(np.count_nonzero(mask))
+
+def _address_mask(table, addresses: list[int]) -> np.ndarray:
+    """Mask of the rows sent to any of the 128-bit ``addresses``."""
+    mask = np.zeros(len(table), dtype=bool)
+    for addr in set(addresses):
+        mask |= (table.dst_hi == np.uint64(addr >> 64)) \
+            & (table.dst_lo == np.uint64(addr & _MASK64))
+    return mask
 
 
 def compare_triggers(triggers: list[Trigger], seed: int = 7,

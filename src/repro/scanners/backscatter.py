@@ -21,10 +21,16 @@ from repro.errors import ExperimentError
 from repro.net.addr import random_bits
 from repro.net.prefix import Prefix
 from repro.scanners.base import ScannerContext
-from repro.telescope.packet import Packet, Protocol
+from repro.scanners.strategies import split_targets
+from repro.telescope.packet import Protocol
 
 #: The global unicast space spoofed sources are drawn from (RFC 4291).
 GLOBAL_UNICAST = Prefix.parse("2000::/3")
+
+#: Most backscatter replies one column batch carries.
+BATCH_ROWS = 1 << 16
+
+_MASK64 = (1 << 64) - 1
 
 
 @dataclass
@@ -54,6 +60,10 @@ class DDoSAttack:
             raise ExperimentError("an attack needs at least one packet")
         if self.duration <= 0:
             raise ExperimentError("attack duration must be positive")
+        if self.start < 0:
+            raise ExperimentError("attack start must be >= 0")
+        if not 0 <= self.reply_port <= 0xFFFF:
+            raise ExperimentError(f"invalid reply port {self.reply_port}")
 
     def spoofed_source(self) -> int:
         """One uniformly random spoofed source in the spoof space."""
@@ -64,23 +74,28 @@ class DDoSAttack:
         """Emit the victim's backscatter; returns telescope captures.
 
         Each attack packet makes the victim answer toward its spoofed
-        source — that reply is what a telescope could capture.
+        source — that reply is what a telescope could capture. Replies
+        leave in column batches of at most :data:`BATCH_ROWS`.
         """
-        captured = 0
+        unrouted = ctx.packets_unrouted
         step = self.duration / self.packets
         t = self.start
-        for _ in range(self.packets):
-            dst = self.spoofed_source()
-            reply = Packet(time=t, src=self.victim, dst=dst,
-                           protocol=self.reply_protocol,
-                           dst_port=self.reply_port)
-            self.backscatter_sent += 1
-            telescope = ctx.route(dst, t)
-            if telescope is not None:
-                telescope.deliver(reply)
-                captured += 1
-            t += step
-        return captured
+        for first in range(0, self.packets, BATCH_ROWS):
+            n = min(BATCH_ROWS, self.packets - first)
+            times, targets = [], []
+            for _ in range(n):
+                targets.append(self.spoofed_source())
+                times.append(t)
+                t += step
+            dst_hi, dst_lo = split_targets(targets)
+            ctx.inject_batch(
+                np.array(times), np.uint64(self.victim >> 64),
+                np.uint64(self.victim & _MASK64), dst_hi, dst_lo,
+                np.full(n, int(self.reply_protocol), dtype=np.uint8),
+                np.full(n, self.reply_port, dtype=np.uint16),
+                np.uint32(0), np.int64(-1))
+            self.backscatter_sent += n
+        return self.packets - (ctx.packets_unrouted - unrouted)
 
 
 def expected_backscatter_captures(telescope_prefixes: list[Prefix],

@@ -29,7 +29,6 @@ from repro.scanners.registry import ASRecord
 from repro.scanners.tools import ToolSignature
 from repro.sim.clock import HOUR
 from repro.sim.events import Simulator
-from repro.telescope.packet import Packet, Protocol
 
 _MASK64 = (1 << 64) - 1
 #: 64-bit golden-ratio multiplier of the source-IID rotation hash.
@@ -163,7 +162,7 @@ class SourceModel(enum.Enum):
 
 @dataclass(frozen=True, slots=True)
 class _PendingSession:
-    """One fired-but-not-yet-materialized scan session (batch mode).
+    """One fired-but-not-yet-materialized scan session.
 
     Captures exactly the draws that must happen at firing time — the
     network selection (announcement-dependent), the session size, and the
@@ -182,20 +181,19 @@ class ScannerContext:
     """Interface between scanner agents and the simulated world."""
 
     simulator: Simulator
-    route: Callable[[int, float], object]
+    #: ``(dst_hi, dst_lo, time) -> (slots, telescopes)``: each row's slot
+    #: indexes ``telescopes``, ``-1`` meaning unrouted
+    #: (:meth:`repro.telescope.deployment.Deployment.route_batch`, or
+    #: :func:`repro.telescope.telescope.prefix_router` over fixed
+    #: telescope prefixes).
+    route: Callable
     collector: RouteCollector | None = None
     window_start: float = 0.0
     window_end: float = 0.0
     packets_emitted: int = 0
     packets_unrouted: int = 0
-    #: vectorized routing: ``(dst_hi, dst_lo, time) -> (slots, telescopes)``
-    #: with slot ``-1`` meaning unrouted; ``None`` falls back to per-row
-    #: :attr:`route` calls.
-    route_batch: Callable | None = None
-    #: sessions emit through :meth:`inject_batch` when True.
-    batch_emit: bool = True
-    #: when True, batch sessions accumulate per scanner and materialize in
-    #: one cross-session kernel call each at :meth:`flush_batches` —
+    #: when True, sessions accumulate per scanner and materialize in one
+    #: cross-session kernel call each at :meth:`flush_batches` —
     #: amortizing the per-batch NumPy overhead over thousands of rows.
     defer_batch: bool = False
     _pending: dict = field(default_factory=dict, repr=False)
@@ -207,8 +205,8 @@ class ScannerContext:
         private RNG, so a fixed seed always yields the same corpus. The
         cross-session draw order differs from flushing after every fire
         (protocol/gap/payload draws cover the whole stream at once), so
-        deferred and immediate batch runs agree in distribution, not
-        packet-for-packet — same contract as batch vs legacy.
+        deferred and immediate runs agree in distribution, not
+        packet-for-packet.
 
         Scanners flush in ``scanner_id`` order, not first-fire order:
         each flushes through its own private RNG, so the order is free —
@@ -226,26 +224,17 @@ class ScannerContext:
                 total += scanner._flush_sessions(self, sessions)
         return total
 
-    def inject(self, packet: Packet) -> bool:
-        """Deliver one packet; returns True if the target responded."""
-        self.packets_emitted += 1
-        telescope = self.route(packet.dst, packet.time)
-        if telescope is None:
-            self.packets_unrouted += 1
-            return False
-        return telescope.deliver(packet)
-
     def inject_batch(self, time, src_hi, src_lo, dst_hi, dst_lo, protocol,
                      dst_port, src_asn, scanner_id,
                      payload_id: np.ndarray | None = None,
                      payloads: list[bytes] | None = None) -> int:
-        """Deliver one session's packet train as columns.
+        """Deliver a packet train as columns; returns the probes answered.
 
         Routes every row by the table in force at its own timestamp and
         hands each telescope its slice in one call. Constant columns
         (``src_hi``, ``src_lo``, ``src_asn``, ``scanner_id``) may come in
-        as scalars and are broadcast here. Returns the number of rows
-        emitted (routed or not), matching :meth:`inject` accounting.
+        as scalars and are broadcast here. Every row counts as emitted,
+        routed or not.
         """
         n = len(time)
         if n == 0:
@@ -255,21 +244,17 @@ class ScannerContext:
         src_asn = _as_column(src_asn, n)
         scanner_id = _as_column(scanner_id, n)
         self.packets_emitted += n
-        if self.route_batch is None:
-            self._inject_rows(time, src_hi, src_lo, dst_hi, dst_lo,
-                              protocol, dst_port, src_asn, scanner_id,
-                              payload_id, payloads)
-            return n
-        slots, telescopes = self.route_batch(dst_hi, dst_lo, time)
+        slots, telescopes = self.route(dst_hi, dst_lo, time)
         counts = np.bincount(slots.astype(np.int64) + 1,
                              minlength=len(telescopes) + 1)
         self.packets_unrouted += int(counts[0])
+        answered = 0
         for slot, telescope in enumerate(telescopes):
             routed = int(counts[slot + 1])
             if not routed:
                 continue
             if routed == n:
-                telescope.deliver_batch(
+                answered += telescope.deliver_batch(
                     time, src_hi, src_lo, dst_hi, dst_lo, protocol,
                     dst_port, src_asn, scanner_id,
                     payload_id=payload_id, payloads=payloads)
@@ -277,33 +262,12 @@ class ScannerContext:
             rows = np.flatnonzero(slots == slot)
             sub_ids, sub_payloads = _subset_payloads(
                 payload_id, payloads, rows)
-            telescope.deliver_batch(
+            answered += telescope.deliver_batch(
                 time[rows], src_hi[rows], src_lo[rows], dst_hi[rows],
                 dst_lo[rows], protocol[rows], dst_port[rows],
                 src_asn[rows], scanner_id[rows],
                 payload_id=sub_ids, payloads=sub_payloads)
-        return n
-
-    def _inject_rows(self, time, src_hi, src_lo, dst_hi, dst_lo, protocol,
-                     dst_port, src_asn, scanner_id, payload_id,
-                     payloads) -> None:
-        """Row-by-row fallback when no vectorized router is wired."""
-        for i in range(len(time)):
-            payload = None
-            if payload_id is not None and payload_id[i] >= 0:
-                payload = payloads[int(payload_id[i])]
-            dst = (int(dst_hi[i]) << 64) | int(dst_lo[i])
-            telescope = self.route(dst, float(time[i]))
-            if telescope is None:
-                self.packets_unrouted += 1
-                continue
-            telescope.deliver(Packet(
-                time=float(time[i]),
-                src=(int(src_hi[i]) << 64) | int(src_lo[i]),
-                dst=dst, protocol=Protocol(int(protocol[i])),
-                dst_port=int(dst_port[i]), payload=payload,
-                src_asn=int(src_asn[i]),
-                scanner_id=int(scanner_id[i])))
+        return answered
 
 
 def _as_column(value, n: int) -> np.ndarray:
@@ -454,7 +418,7 @@ class Scanner:
              trigger: Prefix | None = None) -> int:
         """Emit one scan session starting at ``when``; returns packet count.
 
-        In deferred-batch mode the session is only *resolved* here (the
+        With ``ctx.defer_batch`` the session is only *resolved* here (the
         time-dependent draws: network selection, session size, nonce) and
         the packet columns materialize later in
         :meth:`ScannerContext.flush_batches`; the returned count is then
@@ -465,8 +429,6 @@ class Scanner:
             return 0
         total = max(1, int(self.packets_per_session(self.rng)))
         self.sessions_fired += 1
-        if not ctx.batch_emit:
-            return self._fire_legacy(ctx, when, selections, total)
         weight_sum = sum(w for _, w in selections)
         session = _PendingSession(
             when=when,
@@ -483,32 +445,6 @@ class Scanner:
                 return self._flush_sessions(ctx, [session])
         return self._flush_sessions(ctx, [session])
 
-    def _fire_legacy(self, ctx: ScannerContext, when: float,
-                     selections, total: int) -> int:
-        """Per-packet oracle path (``batch_emit=False``)."""
-        nonce = self.sessions_fired
-        weight_sum = sum(w for _, w in selections)
-        emitted = 0
-        t = when
-        for prefix, weight in selections:
-            count = max(1, round(total * weight / weight_sum))
-            targets = self.addr_strategy.generate(prefix, count, self.rng)
-            for dst in targets:
-                protocol, port = self.protocol_profile.sample(self.rng)
-                payload = self._payload()
-                src = self.source_address(port=port, session_nonce=nonce)
-                ctx.inject(Packet(
-                    time=t, src=src, dst=dst, protocol=protocol,
-                    dst_port=port, payload=payload,
-                    src_asn=self.as_record.asn,
-                    scanner_id=self.scanner_id))
-                emitted += 1
-                t += float(self.rng.exponential(self.mean_packet_gap))
-            if self.spread_prefix_sessions:
-                # next prefix becomes its own session (> 1h timeout gap)
-                t += float(self.rng.uniform(1.25 * HOUR, 2.5 * HOUR))
-        return emitted
-
     def _flush_sessions(self, ctx: ScannerContext,
                         sessions: list["_PendingSession"]) -> int:
         """Emit resolved sessions as one NumPy column batch (the hot path).
@@ -516,11 +452,8 @@ class Scanner:
         Canonical RNG draw order: per session in firing order — prefix
         spreading gaps, then each prefix's targets — followed by one
         protocol/port draw, one inter-packet-gap draw, one payload mask
-        and one payload-tail draw covering every packet of the batch.
-        This differs from the legacy per-packet interleaving, so the two
-        paths agree in distribution (differential-tested marginals) but
-        not packet-for-packet. The batch path is itself byte-deterministic
-        for a fixed seed.
+        and one payload-tail draw covering every packet of the batch, so
+        a fixed seed yields a byte-identical batch. Returns its rows.
         """
         from repro.scanners.strategies import split_targets
         rng = self.rng
@@ -611,18 +544,11 @@ class Scanner:
             src_lo = np.uint64(self._fixed_iid)
 
         obs.add("sim.packets_emitted_batch_total", n)
-        return ctx.inject_batch(
+        ctx.inject_batch(
             times, src_hi, src_lo, dst_hi, dst_lo, protocols, ports,
             np.uint32(self.as_record.asn), np.int64(self.scanner_id),
             payload_id=payload_id, payloads=payloads)
-
-    def _payload(self) -> bytes | None:
-        if self.tool is None or self.payload_probability <= 0:
-            return None
-        if self.rng.random() >= self.payload_probability:
-            return None
-        self._seq += 1
-        return self.tool.payload(self.rng, self._seq)
+        return n
 
     def validate(self) -> None:
         """Sanity-check the configuration against session semantics."""

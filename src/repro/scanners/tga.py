@@ -19,14 +19,18 @@ from functools import partial
 
 import numpy as np
 
+from repro.core.columnar import NO_PAYLOAD
 from repro.errors import ExperimentError
 from repro.net.addr import random_bits
 from repro.net.prefix import Prefix
 from repro.scanners.base import (ScannerContext, SourceModel,
                                  TemporalBehavior, TemporalKind)
 from repro.scanners.registry import ASRecord
+from repro.scanners.strategies import split_targets
 from repro.scanners.tools import ToolSignature
-from repro.telescope.packet import Packet, Protocol
+from repro.telescope.packet import Protocol
+
+_MASK64 = (1 << 64) - 1
 
 
 @dataclass
@@ -177,29 +181,41 @@ class DynamicTGAScanner:
         return node.prefix.network | random_bits(self.rng, host_bits)
 
     def fire(self, ctx: ScannerContext, when: float) -> int:
-        """One probing round: probe candidates, descend into responders."""
+        """One probing round: probe candidates, descend into responders.
+
+        Each candidate's probes leave as one column batch; the candidate
+        is rewarded when any of them drew an answer.
+        """
         self.sessions_fired += 1
+        src = self.source_address()
         emitted = 0
         t = when
         for node in self._select_nodes():
-            responded = False
+            times, targets, payload_ids, payloads = [], [], [], []
             for _ in range(self.probes_per_node):
-                dst = self._probe_target(node)
-                payload = None
+                targets.append(self._probe_target(node))
+                payload_id = NO_PAYLOAD
                 if self.tool is not None \
                         and self.rng.random() < self.payload_probability:
                     self._seq += 1
-                    payload = self.tool.payload(self.rng, self._seq)
-                answered = ctx.inject(Packet(
-                    time=t, src=self.source_address(), dst=dst,
-                    protocol=Protocol.ICMPV6, payload=payload,
-                    src_asn=self.as_record.asn,
-                    scanner_id=self.scanner_id))
-                responded = responded or answered
-                emitted += 1
-                node.probes += 1
+                    payload_id = len(payloads)
+                    payloads.append(self.tool.payload(self.rng, self._seq))
+                payload_ids.append(payload_id)
+                times.append(t)
                 t += float(self.rng.exponential(self.mean_packet_gap))
-            if responded:
+            n = len(times)
+            dst_hi, dst_lo = split_targets(targets)
+            answered = ctx.inject_batch(
+                np.array(times), np.uint64(src >> 64),
+                np.uint64(src & _MASK64), dst_hi, dst_lo,
+                np.full(n, int(Protocol.ICMPV6), dtype=np.uint8),
+                np.zeros(n, dtype=np.uint16), np.uint32(self.as_record.asn),
+                np.int64(self.scanner_id),
+                payload_id=np.array(payload_ids) if payloads else None,
+                payloads=payloads or None)
+            emitted += n
+            node.probes += n
+            if answered:
                 node.reward()
                 self._descend(node)
             else:

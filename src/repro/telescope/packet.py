@@ -1,10 +1,12 @@
 """Packet records.
 
-A :class:`Packet` is the unit every analysis consumes. It captures exactly
-the fields the paper's pipeline uses: arrival time, source and destination
-address, transport protocol, destination port, and an optional payload
-(used for tool fingerprinting, §5.4). Source ASN is resolved at capture
-time so analyses need no reverse lookup.
+A :class:`Packet` is one row of a :class:`repro.core.columnar.PacketTable`
+as a record: the fields the paper's pipeline uses — arrival time, source
+and destination address, transport protocol, destination port, and an
+optional payload (used for tool fingerprinting, §5.4). Source ASN is
+resolved at capture time so analyses need no reverse lookup. Captures and
+analyses keep packets as table columns; records exist only where a caller
+builds a table from them or asks a table for its rows.
 """
 
 from __future__ import annotations
@@ -66,7 +68,3 @@ class Packet:
             raise ValueError(f"packet time must be >= 0, got {self.time}")
         if not 0 <= self.dst_port <= 0xFFFF:
             raise ValueError(f"invalid destination port {self.dst_port}")
-
-    @property
-    def has_payload(self) -> bool:
-        return bool(self.payload)

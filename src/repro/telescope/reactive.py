@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.telescope.packet import ICMPV6, TCP, UDP, Packet, Protocol
+from repro.telescope.packet import ICMPV6, TCP, UDP
 
 
 @dataclass
@@ -31,24 +31,12 @@ class ReactiveResponder:
     responses_sent: int = 0
     _responded_ports: dict[int, set[int]] = field(default_factory=dict)
 
-    def responds(self, packet: Packet) -> bool:
-        """Decide whether the probe elicits a response; count it if so."""
-        if packet.protocol is Protocol.TCP:
-            answer = self.accept_tcp
-        elif packet.protocol is Protocol.ICMPV6:
-            answer = self.accept_icmpv6
-        else:
-            answer = self.accept_udp
-        if answer:
-            self.responses_sent += 1
-            if packet.protocol is TCP:
-                ports = self._responded_ports.setdefault(packet.dst, set())
-                ports.add(packet.dst_port)
-        return answer
-
     def respond_batch(self, protocol: np.ndarray, dst_hi: np.ndarray,
                       dst_lo: np.ndarray, dst_port: np.ndarray) -> int:
-        """Vectorized :meth:`responds` over a probe batch; returns answers."""
+        """Answer a probe batch; returns how many probes were answered.
+
+        Every answered TCP probe records its port as open on its target.
+        """
         answered = np.zeros(len(protocol), dtype=bool)
         tcp = protocol == int(TCP)
         if self.accept_tcp:
@@ -71,17 +59,3 @@ class ReactiveResponder:
     def open_ports(self, addr: int) -> set[int]:
         """TCP ports this responder has answered on for ``addr``."""
         return set(self._responded_ports.get(addr, ()))
-
-    @property
-    def appears_aliased(self) -> bool:
-        """Whether an aliased-prefix detector would flag the telescope.
-
-        T4 answers identically from every address yet never appeared on
-        the aliased list (§3.2); the detector needs *unsolicited* random
-        high-IID responses to conclude aliasing, which this responder
-        never generates.
-        """
-        return False
-
-
-ICMPV6_RESPONDER = ReactiveResponder(accept_tcp=False, accept_icmpv6=True)

@@ -11,11 +11,12 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
+from typing import Sequence
 
 from repro.errors import ExperimentError
+from repro.net.lpm import build_matcher
 from repro.net.prefix import Prefix
 from repro.telescope.capture import PacketCapture
-from repro.telescope.packet import Packet
 from repro.telescope.reactive import ReactiveResponder
 
 
@@ -46,40 +47,24 @@ class Telescope:
             raise ExperimentError(
                 f"active telescope {self.name} needs a responder")
 
-    def owns(self, addr: int) -> bool:
-        """True if ``addr`` falls inside any of the telescope's prefixes."""
-        return any(p.contains_address(addr) for p in self.prefixes)
-
-    def deliver(self, packet: Packet) -> bool:
-        """Record an arriving packet; returns True if it responded.
-
-        The response itself is not materialized as a packet — scanners only
-        need the boolean feedback signal (did the target answer?).
-        """
-        if not self.owns(packet.dst):
-            raise ExperimentError(
-                f"packet to {packet.dst:#x} misrouted to {self.name}")
-        self.capture.record(packet)
-        if self.responder is not None:
-            return self.responder.responds(packet)
-        return False
-
     def deliver_batch(self, time, src_hi, src_lo, dst_hi, dst_lo, protocol,
                       dst_port, src_asn, scanner_id, payload_id=None,
                       payloads=None) -> int:
-        """Record a column batch; returns the number of rows captured.
+        """Record a column batch; returns how many probes it answered.
 
-        The vectorized router only hands a telescope rows it owns, so the
-        per-packet ownership assertion is skipped. Like :meth:`deliver`,
-        the responder sees every arriving probe, including ones the
-        capture filter drops.
+        The router only hands a telescope rows it owns. The responder
+        sees every arriving probe, including ones the capture filter or
+        a blackout drops; a passive telescope answers none. Responses
+        are not materialized as packets — scanners only need the
+        feedback signal (did the target answer?).
         """
-        stored = self.capture.append_batch(
+        self.capture.append_batch(
             time, src_hi, src_lo, dst_hi, dst_lo, protocol, dst_port,
             src_asn, scanner_id, payload_id=payload_id, payloads=payloads)
-        if self.responder is not None:
-            self.responder.respond_batch(protocol, dst_hi, dst_lo, dst_port)
-        return stored
+        if self.responder is None:
+            return 0
+        return self.responder.respond_batch(protocol, dst_hi, dst_lo,
+                                            dst_port)
 
     @property
     def packet_count(self) -> int:
@@ -91,3 +76,23 @@ class Telescope:
         if not hits:
             return None
         return max(hits, key=lambda p: p.length)
+
+
+def prefix_router(telescopes: Sequence[Telescope]):
+    """A packet router over the telescopes' own, fixed prefixes.
+
+    The returned ``route(dst_hi, dst_lo, time) -> (slots, telescopes)``
+    has the signature of
+    :meth:`repro.telescope.deployment.Deployment.route_batch`: each row's
+    slot indexes ``telescopes`` (the most-specific covering prefix wins)
+    or is ``-1`` when no telescope owns the destination. Routing does not
+    depend on time.
+    """
+    telescopes = tuple(telescopes)
+    matcher = build_matcher([(prefix, slot)
+                             for slot, telescope in enumerate(telescopes)
+                             for prefix in telescope.prefixes])
+
+    def route(dst_hi, dst_lo, time):
+        return matcher.lookup(dst_hi, dst_lo), telescopes
+    return route

@@ -17,6 +17,7 @@ from repro.analysis.guidance import derive_guidance
 from repro.core.addrclass import CLASS_ORDER
 from repro.core.aggregation import AggregationLevel
 from repro.experiment.phases import Phase
+from repro.telescope.packet import Packet
 
 #: sha256 over the newline-joined class values, in ``sessions()`` order,
 #: of every (telescope, level, phase) of ``ExperimentConfig.tiny()``.
@@ -143,10 +144,17 @@ class TestClassifiedOnce:
             | {(t, "ADDR", "INITIAL") for t in TELESCOPES}
             | {("T1", "ADDR", "SPLIT")})
 
-    def test_classification_materializes_no_packets(self, tiny_corpus):
+    def test_classification_materializes_no_packets(self, tiny_corpus,
+                                                   monkeypatch):
+        built = []
+        original = Packet.__post_init__
+
+        def trap(packet):
+            built.append(packet)
+            original(packet)
+
+        monkeypatch.setattr(Packet, "__post_init__", trap)
         analysis = CorpusAnalysis(tiny_corpus)
         for key in TINY_DIGESTS:
             class_values(analysis, key)
-        for session_set in analysis._sessions.values():
-            assert all(session.packets._cache is None
-                       for session in session_set)
+        assert built == []

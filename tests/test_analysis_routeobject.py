@@ -5,6 +5,7 @@ import pytest
 
 from repro.analysis.routeobject import (RouteObjectEffect, mann_whitney_u,
                                        route_object_effect)
+from repro.core.columnar import PacketTable
 from repro.errors import AnalysisError
 from repro.net.prefix import Prefix
 from repro.sim.clock import DAY
@@ -23,6 +24,10 @@ def steady_packets(rate_per_day: float, start: float, end: float,
                               dst=PREFIX.network | 1, protocol=ICMPV6))
         t += DAY / rate_per_day * float(rng.uniform(0.5, 1.5))
     return packets
+
+
+def table_of(packets: list[Packet]) -> PacketTable:
+    return PacketTable.from_packets(packets)
 
 
 #: (x, y) -> two-sided p-value of SciPy 1.17.1's ``mannwhitneyu`` with its
@@ -68,7 +73,7 @@ class TestRouteObjectEffect:
         rng = np.random.default_rng(0)
         packets = steady_packets(20, CREATED - 40 * DAY,
                                  CREATED + 40 * DAY, rng)
-        effect = route_object_effect(packets, PREFIX, CREATED)
+        effect = route_object_effect(table_of(packets), PREFIX, CREATED)
         assert not effect.is_noticeable()
         assert abs(effect.packet_change) < 0.3
 
@@ -76,7 +81,8 @@ class TestRouteObjectEffect:
         rng = np.random.default_rng(1)
         before = steady_packets(5, CREATED - 40 * DAY, CREATED, rng)
         after = steady_packets(50, CREATED, CREATED + 40 * DAY, rng)
-        effect = route_object_effect(before + after, PREFIX, CREATED)
+        effect = route_object_effect(table_of(before + after), PREFIX,
+                                     CREATED)
         assert effect.is_noticeable()
         assert effect.packet_change > 2.0
 
@@ -86,20 +92,21 @@ class TestRouteObjectEffect:
                                  CREATED + 10 * DAY, rng)
         other = Prefix.parse("3fff:9999::/48")
         with pytest.raises(AnalysisError):
-            route_object_effect(packets, other, CREATED)
+            route_object_effect(table_of(packets), other, CREATED)
 
     def test_counts_reported(self):
         rng = np.random.default_rng(3)
         packets = steady_packets(10, CREATED - 28 * DAY,
                                  CREATED + 28 * DAY, rng)
-        effect = route_object_effect(packets, PREFIX, CREATED)
+        effect = route_object_effect(table_of(packets), PREFIX, CREATED)
         assert effect.packets_before > 0
         assert effect.packets_after > 0
         assert effect.sources_before > 0
 
     def test_window_validation(self):
         with pytest.raises(AnalysisError):
-            route_object_effect([], PREFIX, CREATED, window_days=1)
+            route_object_effect(PacketTable.empty(), PREFIX, CREATED,
+                                window_days=1)
 
     def test_change_without_baseline_rejected(self):
         effect = RouteObjectEffect(created_at=0, window_days=5,
@@ -121,6 +128,23 @@ class TestRouteObjectEffect:
         corpus = small_result.corpus
         stable_33 = corpus.t1_prefix.split()[0]
         effect = route_object_effect(
-            corpus.packets("T1"), stable_33,
+            corpus.table("T1"), stable_33,
             deployment.route_object_created_at, window_days=21)
         assert not effect.is_noticeable()
+
+    def test_on_tiny_corpus(self, tiny_corpus):
+        """The column port reproduces the per-packet helper's result on
+        ``ExperimentConfig.tiny()`` (recorded before the port) around
+        the split start; the tiny run ends before a route object."""
+        effect = route_object_effect(
+            tiny_corpus.table("T1"), tiny_corpus.t1_prefix.split()[0],
+            tiny_corpus.config.split_start, window_days=21)
+        assert effect == RouteObjectEffect(
+            created_at=2_419_200.0, window_days=21,
+            packets_before=700, packets_after=5_626,
+            sources_before=17, sources_after=21,
+            daily_sources_before=(3, 7, 4, 3, 3, 3, 5, 3, 4, 4, 3, 4, 3, 4,
+                                  4, 5, 3, 3, 3, 3, 0),
+            daily_sources_after=(7, 5, 4, 5, 4, 3, 3, 2, 6, 4, 4, 1, 5, 0,
+                                 3, 1, 2, 3, 2, 2, 2),
+            p_value=0.4512495146243873)

@@ -3,13 +3,10 @@
 import numpy as np
 import pytest
 
-from repro.core.addrclass import (CLASS_ORDER, AddressClass,
-                                  classify_segments, classify_session)
-from repro.core.sessions import Session
+from repro.core.addrclass import CLASS_ORDER, AddressClass, classify_segments
 from repro.errors import ClassificationError
 from repro.net.addrgen import random_targets
 from repro.net.prefix import Prefix
-from repro.telescope.packet import ICMPV6, Packet
 
 P = Prefix.parse("3fff:1000::/32")
 
@@ -17,14 +14,10 @@ P = Prefix.parse("3fff:1000::/32")
 RANDOM_IID = 0x9C4E_27B1_D83F_6A05
 
 
-def make_session(targets: list[int]) -> Session:
-    packets = [Packet(time=float(i), src=1, dst=t, protocol=ICMPV6)
-               for i, t in enumerate(targets)]
-    return Session(source=1, telescope="T1", packets=packets)
-
-
 def classify(targets: list[int]) -> AddressClass:
-    return classify_session(make_session(targets))
+    """One session's class: the one-session case of
+    :func:`classify_segments`."""
+    return CLASS_ORDER[classify_segments(*columns([targets]))[0]]
 
 
 def random_iids(subnets, seed: int = 0) -> list[int]:
@@ -95,14 +88,14 @@ class TestOrderedTraversal:
 class TestClassifySession:
     def test_low_byte_session_structured(self):
         targets = [P.subnet(64, i).network | 1 for i in range(50)]
-        assert classify_session(make_session(targets)) \
+        assert classify(targets) \
             is AddressClass.STRUCTURED
 
     def test_random_session_detected(self):
         rng = np.random.default_rng(1)
         targets = random_targets(P, rng, 200)
         # shuffle defeats the traversal check; NIST must catch randomness
-        assert classify_session(make_session(targets)) \
+        assert classify(targets) \
             is AddressClass.RANDOM
 
     def test_small_random_session_unknown(self):
@@ -110,7 +103,7 @@ class TestClassifySession:
         rng = np.random.default_rng(1)
         shuffled = random_targets(P, rng, 30)
         rng.shuffle(shuffled)  # type: ignore[arg-type]
-        verdict = classify_session(make_session(list(shuffled)))
+        verdict = classify(list(shuffled))
         assert verdict in (AddressClass.UNKNOWN, AddressClass.STRUCTURED)
 
     def test_segments_match_single_sessions(self):
@@ -141,5 +134,5 @@ class TestSingleSubnetSessions:
         rng = np.random.default_rng(3)
         subnet = P.subnet(64, 7)
         targets = [subnet.random_address(rng) for _ in range(150)]
-        assert classify_session(make_session(targets)) \
+        assert classify(targets) \
             is AddressClass.RANDOM

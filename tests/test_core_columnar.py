@@ -1,12 +1,15 @@
-"""Differential tests: columnar engine vs the legacy object path.
+"""Tests for the columnar engine: sessionization, aggregation, slicing.
 
-The vectorized sessionization/aggregation/phase slicing must agree with
-the per-packet object pipeline *exactly* — same session boundaries, same
-source keys, same ordering, same per-phase packet counts — on randomized
-seeded corpora and on the edge cases the loop formulation handles
-implicitly (single-packet sources, gap exactly equal to the timeout,
-empty telescopes).
+``sessionize_table`` replaced a per-source Python loop over ``Packet``
+objects. Its session layouts on the fixtures below — randomized seeded
+corpora, the edge cases the loop handled implicitly (single-packet
+sources, a gap exactly equal to the timeout, unsorted input) and every
+telescope, level and phase of the tiny corpus — were recorded from that
+loop as digests, so boundaries, source keys, packets and ordering must
+still agree exactly.
 """
+
+import hashlib
 
 import numpy as np
 import pytest
@@ -14,9 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.aggregation import AggregationLevel, source_key
-from repro.core.columnar import (NO_PAYLOAD, PacketSlice, PacketTable,
-                                 sessionize_table)
-from repro.core.sessions import sessionize
+from repro.core.columnar import NO_PAYLOAD, PacketTable, sessionize_table
 from repro.errors import AnalysisError
 from repro.experiment.phases import Phase, phase_bounds
 from repro.sim.clock import HOUR
@@ -50,36 +51,112 @@ def random_packets(seed: int, n: int, subnets: int = 16,
     return packets
 
 
-def assert_identical(legacy, vectorized):
-    """Session-by-session equality: boundaries, keys, packets, order."""
-    assert len(legacy) == len(vectorized)
-    assert legacy.telescope == vectorized.telescope
-    assert legacy.level == vectorized.level
-    for a, b in zip(legacy.sessions, vectorized.sessions):
-        assert a.source == b.source
-        assert a.start == b.start
-        assert a.end == b.end
-        assert len(a) == len(b)
-        assert list(a.packets) == list(b.packets)
+def layout_digest(session_set) -> str:
+    """Session by session in set order: source key halves, packet count
+    and table rows in arrival order."""
+    rows, offsets = session_set.session_rows()
+    source_hi, source_lo = session_set.source_columns()
+    digest = hashlib.sha256()
+    for column, dtype in ((source_hi, np.uint64), (source_lo, np.uint64),
+                          (offsets, np.int64), (rows, np.int64)):
+        digest.update(np.ascontiguousarray(column, dtype=dtype).tobytes())
+    return digest.hexdigest()[:16]
+
+
+#: Layout digests of the per-source loop on ``random_packets(seed, 2000)``.
+RANDOM_LAYOUTS = {
+    (0, AggregationLevel.ADDR): "4aafee11eb89ea96",
+    (0, AggregationLevel.SUBNET): "9cbfb88b51996f59",
+    (0, AggregationLevel.PREFIX): "24f32420f1ce31d8",
+    (1, AggregationLevel.ADDR): "2efb85ad282348da",
+    (1, AggregationLevel.SUBNET): "572d1d3ce17a2be9",
+    (1, AggregationLevel.PREFIX): "cd4b4a1041aa2ddf",
+    (2, AggregationLevel.ADDR): "fee09bcd2eb57543",
+    (2, AggregationLevel.SUBNET): "00bfcfcb6ea396a2",
+    (2, AggregationLevel.PREFIX): "4996fb2f96097ee7",
+    (3, AggregationLevel.ADDR): "de237e9dc236d4d9",
+    (3, AggregationLevel.SUBNET): "a03580763de81667",
+    (3, AggregationLevel.PREFIX): "943ab5d59cc45a8d",
+}
+
+#: ... on 20 single-packet sources two hours apart.
+SINGLE_PACKET_LAYOUTS = {
+    AggregationLevel.ADDR: "f81435766e84e8e0",
+    AggregationLevel.SUBNET: "b4c77dbd85cda439",
+    AggregationLevel.PREFIX: "6c1f9fcf50909463",
+}
+
+#: ... on each telescope's phase table of ``ExperimentConfig.tiny()``.
+TINY_LAYOUTS = {
+    ("T1", AggregationLevel.ADDR, Phase.INITIAL): "beea42be910fece7",
+    ("T1", AggregationLevel.ADDR, Phase.SPLIT): "efccc9f1446b4745",
+    ("T1", AggregationLevel.ADDR, Phase.FULL): "2a908d737e44ab71",
+    ("T1", AggregationLevel.SUBNET, Phase.INITIAL): "4c5389eb61a7b229",
+    ("T1", AggregationLevel.SUBNET, Phase.SPLIT): "1e859aac8ff450bc",
+    ("T1", AggregationLevel.SUBNET, Phase.FULL): "534603917655f37e",
+    ("T2", AggregationLevel.ADDR, Phase.INITIAL): "7333a58fef3edfc5",
+    ("T2", AggregationLevel.ADDR, Phase.SPLIT): "5a1bb86170cf5b62",
+    ("T2", AggregationLevel.ADDR, Phase.FULL): "9a3b8a40553ec8b3",
+    ("T2", AggregationLevel.SUBNET, Phase.INITIAL): "f2612cb983af4d46",
+    ("T2", AggregationLevel.SUBNET, Phase.SPLIT): "cc173d08e363f588",
+    ("T2", AggregationLevel.SUBNET, Phase.FULL): "0547f5e8f49f8b34",
+    ("T3", AggregationLevel.ADDR, Phase.INITIAL): "d5d4ea1874fb7dd2",
+    ("T3", AggregationLevel.ADDR, Phase.SPLIT): "91dd263f0c966d1d",
+    ("T3", AggregationLevel.ADDR, Phase.FULL): "1161d7fd4f5417cd",
+    ("T3", AggregationLevel.SUBNET, Phase.INITIAL): "e8ffc89dc8456cb8",
+    ("T3", AggregationLevel.SUBNET, Phase.SPLIT): "8c16d22b69cd9410",
+    ("T3", AggregationLevel.SUBNET, Phase.FULL): "665ca1fcd2b0019d",
+    ("T4", AggregationLevel.ADDR, Phase.INITIAL): "2eca005d931e7e3e",
+    ("T4", AggregationLevel.ADDR, Phase.SPLIT): "0f71fa63c355c5c8",
+    ("T4", AggregationLevel.ADDR, Phase.FULL): "aa0d01499dc0870e",
+    ("T4", AggregationLevel.SUBNET, Phase.INITIAL): "76855765914c7057",
+    ("T4", AggregationLevel.SUBNET, Phase.SPLIT): "47a81228244e82ce",
+    ("T4", AggregationLevel.SUBNET, Phase.FULL): "fa10fdae3a5e4dbf",
+}
+
+
+def assert_partition(session_set, table, timeout=HOUR):
+    """Sessions partition the rows, ordered by start; a session holds one
+    source's packets in arrival order with gaps below the timeout, and
+    one source's consecutive sessions lie at least the timeout apart."""
+    rows, offsets = session_set.session_rows()
+    assert sorted(rows.tolist()) == list(range(len(table)))
+    key_hi, key_lo = table.source_key_columns(session_set.level)
+    source_hi, source_lo = session_set.source_columns()
+    last_end = {}
+    for i in range(len(session_set)):
+        session = rows[offsets[i]:offsets[i + 1]]
+        times = table.time[session]
+        assert np.all(np.diff(times) >= 0)
+        assert np.all(np.diff(times) < timeout)
+        assert np.all(key_lo[session] == source_lo[i])
+        if key_hi is not None:
+            assert np.all(key_hi[session] == source_hi[i])
+        source = (int(source_hi[i]), int(source_lo[i]))
+        if source in last_end:
+            assert times[0] - last_end[source] >= timeout
+        last_end[source] = times[-1]
+    assert np.all(np.diff(session_set.starts()) >= 0)
 
 
 class TestDifferentialSessionize:
     @pytest.mark.parametrize("seed", [0, 1, 2, 3])
     @pytest.mark.parametrize("level", LEVELS)
     def test_randomized_corpora(self, seed, level):
-        packets = random_packets(seed, 2000)
-        table = PacketTable.from_packets(packets)
-        assert_identical(
-            sessionize(packets, telescope="T1", level=level),
-            sessionize_table(table, telescope="T1", level=level))
+        table = PacketTable.from_packets(random_packets(seed, 2000))
+        result = sessionize_table(table, telescope="T1", level=level)
+        assert (result.telescope, result.level) == ("T1", level)
+        assert layout_digest(result) == RANDOM_LAYOUTS[(seed, level)]
 
     @pytest.mark.parametrize("level", LEVELS)
     def test_source_key_sets_match(self, level):
         packets = random_packets(7, 1500)
         table = PacketTable.from_packets(packets)
-        legacy = {source_key(p.src, level) for p in packets}
-        assert table.distinct_sources(level) == legacy
-        assert sessionize_table(table, level=level).sources() == legacy
+        expected = {source_key(p.src, level) for p in packets}
+        assert table.distinct_sources(level) == expected
+        keys = sessionize_table(table, level=level).source_keys()
+        assert len(keys) == len(expected)
+        assert set(keys) == expected
 
     def test_single_packet_sources(self):
         packets = [Packet(time=float(i * 2 * HOUR), src=(i << 64) | i,
@@ -87,18 +164,18 @@ class TestDifferentialSessionize:
                    for i in range(20)]
         table = PacketTable.from_packets(packets)
         for level in LEVELS:
-            assert_identical(sessionize(packets, level=level),
-                             sessionize_table(table, level=level))
+            result = sessionize_table(table, level=level)
+            assert len(result) == 20
+            assert layout_digest(result) == SINGLE_PACKET_LAYOUTS[level]
 
     def test_gap_exactly_timeout_splits(self):
         src = (9 << 64) | 1
         packets = [Packet(time=0.0, src=src, dst=1, protocol=ICMPV6),
                    Packet(time=float(HOUR), src=src, dst=1,
                           protocol=ICMPV6)]
-        table = PacketTable.from_packets(packets)
-        result = sessionize_table(table)
+        result = sessionize_table(PacketTable.from_packets(packets))
         assert len(result) == 2
-        assert_identical(sessionize(packets), result)
+        assert layout_digest(result) == "ec608788a272033d"
 
     def test_gap_just_below_timeout_keeps(self):
         src = (9 << 64) | 1
@@ -111,7 +188,7 @@ class TestDifferentialSessionize:
     def test_empty_table(self):
         result = sessionize_table(PacketTable.empty(), telescope="T3")
         assert len(result) == 0
-        assert result.sources() == set()
+        assert result.source_keys() == []
 
     def test_invalid_timeout(self):
         with pytest.raises(AnalysisError):
@@ -121,18 +198,19 @@ class TestDifferentialSessionize:
         src = (3 << 64) | 3
         packets = [Packet(time=t, src=src, dst=1, protocol=ICMPV6)
                    for t in (5.0, 1.0, 3.0)]
-        table = PacketTable.from_packets(packets)
-        assert_identical(sessionize(packets), sessionize_table(table))
+        result = sessionize_table(PacketTable.from_packets(packets))
+        assert result.session_rows()[0].tolist() == [1, 2, 0]
+        assert layout_digest(result) == "185e4afa9e2cab07"
 
     def test_equal_times_tie_order_matches(self):
         src = (4 << 64) | 4
         packets = [Packet(time=1.0, src=src, dst=d, protocol=ICMPV6)
                    for d in (10, 11, 12)]
         table = PacketTable.from_packets(packets)
-        legacy = sessionize(packets)
-        vec = sessionize_table(table)
-        assert [p.dst for p in vec.sessions[0].packets] \
-            == [p.dst for p in legacy.sessions[0].packets]
+        rows = sessionize_table(table).session_rows()[0]
+        assert table.dst_lo[rows].tolist() == [10, 11, 12]
+        assert layout_digest(sessionize_table(table)) \
+            == "a240eba3c6edeac9"
 
     @settings(max_examples=30, deadline=None)
     @given(st.lists(st.tuples(
@@ -144,8 +222,7 @@ class TestDifferentialSessionize:
                           protocol=ICMPV6) for t, hi, lo in rows]
         table = PacketTable.from_packets(packets)
         for level in LEVELS:
-            assert_identical(sessionize(packets, level=level),
-                             sessionize_table(table, level=level))
+            assert_partition(sessionize_table(table, level=level), table)
 
 
 def phase_filter(corpus, telescope, phase):
@@ -175,14 +252,11 @@ class TestPhaseSlicing:
             assert initial + split == full
 
     def test_analysis_paths_agree(self, tiny_corpus):
-        for telescope in tiny_corpus.telescopes():
-            for level in (AggregationLevel.ADDR, AggregationLevel.SUBNET):
-                for phase in Phase:
-                    packets = phase_filter(tiny_corpus, telescope, phase)
-                    table = tiny_corpus.phase_table(telescope, phase)
-                    assert_identical(
-                        sessionize(packets, telescope, level),
-                        sessionize_table(table, telescope, level))
+        for (telescope, level, phase), expected in TINY_LAYOUTS.items():
+            table = tiny_corpus.phase_table(telescope, phase)
+            result = sessionize_table(table, telescope, level)
+            assert layout_digest(result) == expected, \
+                (telescope, level, phase)
 
 
 class TestPacketTable:
@@ -234,24 +308,3 @@ class TestPacketTable:
                    for t in (3.0, 1.0)]
         with pytest.raises(AnalysisError):
             PacketTable.from_packets(packets).slice_time(0.0, 5.0)
-
-
-class TestPacketSlice:
-    def test_sequence_protocol(self):
-        packets = random_packets(13, 50)
-        table = PacketTable.from_packets(packets)
-        view = PacketSlice(table, np.arange(10))
-        assert len(view) == 10
-        assert bool(view)
-        assert view[0] is packets[0]
-        assert view[-1] is packets[9]
-        assert view[2:4] == packets[2:4]
-        assert list(view) == packets[:10]
-        assert view == packets[:10]
-
-    def test_sessions_reuse_corpus_objects(self):
-        packets = random_packets(14, 200)
-        table = PacketTable.from_packets(packets)
-        for session in sessionize_table(table).sessions:
-            for p in session.packets:
-                assert any(p is q for q in packets)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.dbscan import NOISE, cluster_sizes, dbscan, num_clusters
+from repro.core.dbscan import NOISE, dbscan, num_clusters
 from repro.errors import AnalysisError
 
 
@@ -70,11 +70,6 @@ class TestBasicClustering:
         with pytest.raises(AnalysisError):
             dbscan([1.0], eps=1.0, min_samples=0)
 
-    def test_cluster_sizes(self):
-        labels = [0, 0, 1, NOISE]
-        sizes = cluster_sizes(labels)
-        assert sizes == {0: 2, 1: 1, NOISE: 1}
-
 
 class TestProperties:
     @settings(max_examples=25, deadline=None)
@@ -104,6 +99,17 @@ class TestBorderUpgrade:
         later cluster expands into its neighborhood (reviewed bug)."""
         labels = dbscan([3.0, 0.0, 1.0, 2.0], eps=1.0, min_samples=3)
         assert labels == [0, 0, 0, 0]
+
+    def test_border_point_keeps_first_cluster(self):
+        """A border point density-reachable from two clusters belongs to
+        the cluster that reaches it first, even after it was NOISE."""
+        border = [2.0]
+        first = [3.0, 3.5, 4.0, 4.5, 5.0]
+        second = [-1.0, -0.5, 0.0, 0.5, 1.0]
+        labels = dbscan(border + first + second, eps=1.0, min_samples=4)
+        # the border point has 3 neighbours (itself, 1.0 and 3.0): NOISE
+        # on its own visit, then claimed by the first cluster
+        assert labels == [0] * 6 + [1] * 5
 
 
 class TestPairwisePath:

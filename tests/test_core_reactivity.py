@@ -4,13 +4,15 @@ import numpy as np
 import pytest
 
 from repro.bgp.controller import build_split_schedule
+from repro.core.aggregation import AggregationLevel
 from repro.core.columnar import PacketTable, sessionize_table
-from repro.core.reactivity import (cycle_activity, live_monitors,
-                                   most_specific_slots,
+from repro.core.reactivity import (baseline_split_growth, cycle_activity,
+                                   live_monitors, most_specific_slots,
                                    new_source_prefixes_per_day,
                                    sessions_per_prefix_cumulative,
                                    split_half_comparison)
 from repro.errors import AnalysisError
+from repro.experiment.phases import Phase
 from repro.net.lpm import NO_MATCH
 from repro.net.prefix import Prefix
 from repro.sim.clock import DAY, WEEK
@@ -24,8 +26,12 @@ def packet(time, dst, src=1):
     return Packet(time=float(time), src=src, dst=dst, protocol=ICMPV6)
 
 
+def table_of(packets):
+    return PacketTable.from_packets(packets)
+
+
 def sessions_of(packets):
-    return sessionize_table(PacketTable.from_packets(packets))
+    return sessionize_table(table_of(packets))
 
 
 def slot_of(dst, cycle):
@@ -83,20 +89,23 @@ class TestSplitHalfComparison:
             [packet(start + i, stable.low_byte_address) for i in range(10)]
             + [packet(start + 100 + i, split.network | (1 << 90) | 1)
                for i in range(30)])
-        comparison = split_half_comparison(packets, T1, list(SCHEDULE))
+        comparison = split_half_comparison(table_of(packets), T1,
+                                           list(SCHEDULE))
         assert comparison.stable_packets == 10
         assert comparison.split_packets == 30
         assert comparison.increase == pytest.approx(2.0)
 
     def test_no_stable_packets_rejected(self):
-        comparison = split_half_comparison([], T1, list(SCHEDULE))
+        comparison = split_half_comparison(PacketTable.empty(), T1,
+                                           list(SCHEDULE))
         with pytest.raises(AnalysisError):
             comparison.increase
 
     def test_baseline_packets_excluded(self):
         stable, split = T1.split()
         packets = [packet(0.0, stable.low_byte_address)]
-        comparison = split_half_comparison(packets, T1, list(SCHEDULE))
+        comparison = split_half_comparison(table_of(packets), T1,
+                                           list(SCHEDULE))
         assert comparison.stable_packets == 0
 
 
@@ -129,7 +138,7 @@ class TestLiveMonitors:
             packets.append(packet(cycle.announce_time + 600,
                                   cycle.prefixes[0].low_byte_address,
                                   src=111))
-        monitors = live_monitors(packets, list(SCHEDULE))
+        monitors = live_monitors(table_of(packets), list(SCHEDULE))
         assert monitors == {111}
 
     def test_slow_source_excluded(self):
@@ -138,13 +147,13 @@ class TestLiveMonitors:
             packets.append(packet(cycle.announce_time + 2 * DAY,
                                   cycle.prefixes[0].low_byte_address,
                                   src=222))
-        assert live_monitors(packets, list(SCHEDULE)) == set()
+        assert live_monitors(table_of(packets), list(SCHEDULE)) == set()
 
     def test_single_appearance_excluded(self):
         cycle = SCHEDULE[1]
         packets = [packet(cycle.announce_time + 60,
                           cycle.prefixes[0].low_byte_address, src=333)]
-        assert live_monitors(packets, list(SCHEDULE)) == set()
+        assert live_monitors(table_of(packets), list(SCHEDULE)) == set()
 
 
 class TestNewSourcePrefixes:
@@ -163,3 +172,29 @@ class TestNewSourcePrefixes:
     def test_window_validation(self):
         with pytest.raises(AnalysisError):
             new_source_prefixes_per_day([], 5.0, 5.0)
+
+
+class TestTinyCorpus:
+    """The column ports reproduce the per-packet helpers' results on
+    ``ExperimentConfig.tiny()``, recorded before the port."""
+
+    def test_split_half_comparison(self, tiny_corpus):
+        comparison = split_half_comparison(
+            tiny_corpus.table("T1"), tiny_corpus.t1_prefix,
+            tiny_corpus.schedule)
+        assert (comparison.stable_packets, comparison.split_packets) \
+            == (7_227, 10_248)
+
+    def test_live_monitors(self, tiny_corpus):
+        assert live_monitors(tiny_corpus.table("T1"),
+                             tiny_corpus.schedule) == {
+            0x2A0E_0003_0D67_0000_9BFC_13F3_33FC_B823,
+            0x2A0E_0003_0D68_0000_70DB_8C8A_1121_7FAB}
+
+    def test_baseline_split_growth(self, tiny_analysis):
+        sessions = tiny_analysis.sessions("T1", AggregationLevel.ADDR,
+                                          Phase.FULL)
+        schedule = tiny_analysis.corpus.schedule
+        assert baseline_split_growth(sessions, schedule, "sources") == 0.8
+        assert baseline_split_growth(sessions, schedule, "sessions") \
+            == 0.6369433198380567

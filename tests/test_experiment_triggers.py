@@ -79,3 +79,14 @@ class TestCompareTriggers:
         assert results[0].attraction_factor \
             >= results[1].attraction_factor
         assert results[0].trigger_name == "bgp-announcement"
+
+    def test_renders_recorded_results(self):
+        """The column tally reproduces the per-packet tally's results,
+        recorded before the port."""
+        results = compare_triggers([DnsExposureTrigger(),
+                                    BgpAnnouncementTrigger()])
+        assert [r.render() for r in results] == [
+            "trigger 'bgp-announcement' @ day 14: exposed 81->1496 pkts, "
+            "control 69->132, 33 reacting sources, attraction 11.3x",
+            "trigger 'dns-exposure' @ day 14: exposed 81->1091 pkts, "
+            "control 69->132, 23 reacting sources, attraction 8.3x"]

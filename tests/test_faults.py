@@ -15,11 +15,6 @@ from repro.experiment import ExperimentConfig, run_experiment
 from repro.experiment.store import corpus_digest
 from repro.faults import (BgpFlap, BlackoutWindow, FaultInjector, FaultPlan)
 from repro.telescope.capture import PacketCapture
-from repro.telescope.packet import Packet
-
-
-def _packet(t: float) -> Packet:
-    return Packet(time=t, src=1, dst=2, protocol=6, dst_port=80)
 
 
 def _batch(times):
@@ -76,23 +71,24 @@ class TestFaultPlan:
 
 
 class TestBlackoutBoundary:
-    """[start, end) semantics, identical on both append paths."""
+    """[start, end) semantics, identical for one-row and whole batches."""
 
     WINDOW = (100.0, 200.0)
 
     def test_scalar_edges(self):
         capture = PacketCapture(name="T1", blackout_windows=(self.WINDOW,))
-        assert not capture.record(_packet(100.0))   # at start: dropped
-        assert not capture.record(_packet(199.99))  # inside: dropped
-        assert capture.record(_packet(200.0))       # at end: kept
-        assert capture.record(_packet(99.99))       # before: kept
+        assert capture.append_batch(**_batch([100.0])) == 0  # at start
+        assert capture.append_batch(**_batch([199.99])) == 0  # inside
+        assert capture.append_batch(**_batch([200.0])) == 1  # at end: kept
+        assert capture.append_batch(**_batch([99.99])) == 1  # before
         assert capture.blackout_dropped == 2
         assert capture.dropped == 0  # never counted as filter drops
 
     def test_batch_edges_match_scalar(self):
         times = [99.99, 100.0, 150.0, 199.99, 200.0]
         scalar = PacketCapture(name="T1", blackout_windows=(self.WINDOW,))
-        kept_scalar = [t for t in times if scalar.record(_packet(t))]
+        kept_scalar = [t for t in times
+                       if scalar.append_batch(**_batch([t]))]
         batch = PacketCapture(name="T1", blackout_windows=(self.WINDOW,))
         stored = batch.append_batch(**_batch(times))
         assert stored == len(kept_scalar) == 2
@@ -104,7 +100,7 @@ class TestBlackoutBoundary:
         with obs.FlightRecorder() as recorder:
             capture = PacketCapture(name="T2",
                                     blackout_windows=(self.WINDOW,))
-            capture.record(_packet(150.0))          # scalar drop
+            capture.append_batch(**_batch([150.0]))  # one-row drop
             capture.append_batch(**_batch([150.0, 160.0, 250.0]))
         assert capture.blackout_dropped == 3
         counters = recorder.metrics.snapshot()["counters"]
@@ -126,15 +122,6 @@ class TestEmptyPlanDifferential:
                                  faults=FaultPlan())
         assert corpus_digest(faulted.corpus) \
             == corpus_digest(tiny_result.corpus)
-
-    def test_legacy_path_identical(self):
-        config = ExperimentConfig.tiny(seed=7)
-        config.batch_emit = False
-        base = run_experiment(config)
-        config2 = ExperimentConfig.tiny(seed=7)
-        config2.batch_emit = False
-        faulted = run_experiment(config2, faults=FaultPlan())
-        assert corpus_digest(faulted.corpus) == corpus_digest(base.corpus)
 
 
 @pytest.fixture(scope="module")

@@ -11,7 +11,8 @@ from repro.scanners.backscatter import (DDoSAttack, GLOBAL_UNICAST,
 from repro.scanners.base import ScannerContext
 from repro.sim.events import Simulator
 from repro.telescope.capture import PacketCapture
-from repro.telescope.telescope import Telescope, TelescopeKind
+from repro.telescope.telescope import (Telescope, TelescopeKind,
+                                       prefix_router)
 
 TELESCOPE_PREFIX = Prefix.parse("3fff:1000::/32")
 VICTIM = Prefix.parse("2001:db8::/32").network | 0x80
@@ -22,10 +23,8 @@ def world():
     telescope = Telescope(name="T", kind=TelescopeKind.PASSIVE,
                           prefixes=[TELESCOPE_PREFIX],
                           capture=PacketCapture())
-    ctx = ScannerContext(
-        simulator=Simulator(),
-        route=lambda dst, now: telescope
-        if TELESCOPE_PREFIX.contains_address(dst) else None)
+    ctx = ScannerContext(simulator=Simulator(),
+                         route=prefix_router([telescope]))
     return ctx, telescope
 
 
@@ -63,6 +62,12 @@ class TestDDoSAttack:
         with pytest.raises(ExperimentError):
             DDoSAttack(victim=VICTIM, packets=1,
                        rng=np.random.default_rng(0), duration=0)
+        with pytest.raises(ExperimentError):
+            DDoSAttack(victim=VICTIM, packets=1,
+                       rng=np.random.default_rng(0), start=-1.0)
+        with pytest.raises(ExperimentError):
+            DDoSAttack(victim=VICTIM, packets=1,
+                       rng=np.random.default_rng(0), reply_port=70000)
 
 
 class TestAnalyticExpectation:

@@ -13,7 +13,8 @@ from repro.scanners.strategies import LowByteStrategy, ProtocolProfile
 from repro.sim.clock import DAY, HOUR, WEEK
 from repro.sim.events import Simulator
 from repro.telescope.capture import PacketCapture
-from repro.telescope.telescope import Telescope, TelescopeKind
+from repro.telescope.telescope import (Telescope, TelescopeKind,
+                                       prefix_router)
 
 TARGET = Prefix.parse("3fff:1000::/48")
 
@@ -40,11 +41,8 @@ def make_context(window=4 * WEEK):
     telescope = Telescope(name="X", kind=TelescopeKind.PASSIVE,
                           prefixes=[TARGET], capture=PacketCapture())
     sim = Simulator()
-    ctx = ScannerContext(
-        simulator=sim,
-        route=lambda dst, now: telescope if TARGET.contains_address(dst)
-        else None,
-        window_start=0.0, window_end=window)
+    ctx = ScannerContext(simulator=sim, route=prefix_router([telescope]),
+                         window_start=0.0, window_end=window)
     return ctx, telescope, sim
 
 
@@ -154,7 +152,7 @@ class TestFiring:
             active_start=WEEK, active_end=WEEK + 2 * DAY)
         scanner.start(ctx)
         sim.run_until(ctx.window_end)
-        times = [p.time for p in telescope.capture.packets()]
+        times = telescope.capture.table().time.tolist()
         assert times
         assert min(times) >= WEEK
         assert max(times) < WEEK + 2 * DAY + HOUR
@@ -166,9 +164,9 @@ class TestFiring:
             scanner_id=77)
         scanner.start(ctx)
         sim.run_until(ctx.window_end)
-        p = telescope.capture.packets()[0]
-        assert p.scanner_id == 77
-        assert p.src_asn == scanner.as_record.asn
+        table = telescope.capture.table()
+        assert table.scanner_id[0] == 77
+        assert table.src_asn[0] == scanner.as_record.asn
 
     def test_unrouted_counted(self, registry):
         ctx, telescope, sim = make_context()
@@ -188,7 +186,7 @@ class TestFiring:
             packets_per_session=lambda rng: 200)
         scanner.start(ctx)
         sim.run_until(ctx.window_end)
-        times = sorted(p.time for p in telescope.capture.packets())
+        times = telescope.capture.table().time
         assert max(np.diff(times)) < HOUR
 
     def test_validate_rejects_session_splitting_gap(self, registry):
@@ -207,5 +205,7 @@ class TestFiring:
             packets_per_session=lambda rng: 10)
         scanner.start(ctx)
         sim.run_until(ctx.window_end)
-        assert all(p.payload and p.payload.startswith(YARRP6.magic)
-                   for p in telescope.capture.packets())
+        table = telescope.capture.table()
+        assert np.all(table.payload_id >= 0)
+        assert all(table.payloads[i].startswith(YARRP6.magic)
+                   for i in table.payload_id.tolist())

@@ -11,6 +11,7 @@ from repro.scanners.netselect import (AllAnnouncedPolicy, CombinedPolicy,
                                       SingleAnnouncedPolicy,
                                       SizeDependentPolicy, SwitchingPolicy)
 from repro.sim.events import Simulator
+from repro.telescope.telescope import prefix_router
 
 P32 = Prefix.parse("3fff:1000::/32")
 LOW33, HIGH33 = P32.split()
@@ -20,8 +21,7 @@ ANNOUNCED = (LOW33, HIGH33, P48)
 
 @pytest.fixture
 def ctx():
-    return ScannerContext(simulator=Simulator(),
-                          route=lambda dst, now: None)
+    return ScannerContext(simulator=Simulator(), route=prefix_router([]))
 
 
 @pytest.fixture

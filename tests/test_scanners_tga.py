@@ -12,7 +12,9 @@ from repro.sim.clock import DAY, WEEK
 from repro.sim.events import Simulator
 from repro.telescope.capture import PacketCapture
 from repro.telescope.reactive import ReactiveResponder
-from repro.telescope.telescope import Telescope, TelescopeKind
+from repro.telescope.packet import ICMPV6
+from repro.telescope.telescope import (Telescope, TelescopeKind,
+                                       prefix_router)
 
 SPACE = Prefix.parse("3fff:4000::/29")
 RESPONSIVE = Prefix.parse("3fff:4000:4::/48")
@@ -28,14 +30,8 @@ def world():
     silent = Telescope(name="T3", kind=TelescopeKind.PASSIVE,
                        prefixes=[SILENT], capture=PacketCapture())
 
-    def route(dst, now):
-        if RESPONSIVE.contains_address(dst):
-            return reactive
-        if SILENT.contains_address(dst):
-            return silent
-        return None
-
-    ctx = ScannerContext(simulator=Simulator(), route=route,
+    ctx = ScannerContext(simulator=Simulator(),
+                         route=prefix_router([reactive, silent]),
                          window_start=0.0, window_end=8 * WEEK)
     return ctx, reactive, silent
 
@@ -126,7 +122,7 @@ class TestFeedbackLoop:
     def test_unresponsive_space_stays_shallow(self):
         """Without any responder the TGA never rewards a candidate."""
         ctx = ScannerContext(simulator=Simulator(),
-                             route=lambda dst, now: None,
+                             route=prefix_router([]),
                              window_start=0.0, window_end=4 * WEEK)
         tga = make_tga()
         tga.start(ctx)
@@ -140,6 +136,7 @@ class TestFeedbackLoop:
         tga.start(ctx)
         ctx.simulator.run_until(8 * WEEK)
         assert reactive.packet_count > 0
-        packet = reactive.capture.packets()[0]
-        assert packet.scanner_id == 99
-        assert packet.src_asn == tga.as_record.asn
+        table = reactive.capture.table()
+        assert np.all(table.scanner_id == 99)
+        assert np.all(table.src_asn == tga.as_record.asn)
+        assert np.all(table.protocol == int(ICMPV6))

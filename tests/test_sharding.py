@@ -378,9 +378,3 @@ class TestShardingGuards:
         restored = manifest.restorable(tmp_path / "shards")
         assert set(restored) == {0, 1}
         assert all(r["restored"] for r in restored.values())
-
-    def test_legacy_emission_is_rejected(self):
-        config = ExperimentConfig.tiny()
-        config.batch_emit = False
-        with pytest.raises(ExperimentError, match="batched emission"):
-            run_experiment(config, shards=2)

@@ -1,5 +1,6 @@
 """Tests for repro.telescope.deployment."""
 
+import numpy as np
 import pytest
 
 from repro.net.addr import parse_addr
@@ -8,6 +9,7 @@ from repro.sim.rng import RngStreams
 from repro.telescope.deployment import (COVERING_PREFIX, T1_PREFIX,
                                         T2_PREFIX, T3_PREFIX, T4_PREFIX,
                                         build_deployment)
+from repro.telescope.packet import ICMPV6
 
 
 @pytest.fixture(scope="module")
@@ -66,9 +68,16 @@ class TestRouting:
     def test_productive_subnet_excluded_by_filter(self, deployment):
         t2 = deployment.t2
         excluded = deployment.productive.subnet.network | 7
-        from repro.telescope.packet import ICMPV6, Packet
         before = len(t2.capture)
-        t2.deliver(Packet(time=DAY, src=1, dst=excluded, protocol=ICMPV6))
+        t2.deliver_batch(
+            time=np.array([DAY]), src_hi=np.zeros(1, dtype=np.uint64),
+            src_lo=np.ones(1, dtype=np.uint64),
+            dst_hi=np.array([excluded >> 64], dtype=np.uint64),
+            dst_lo=np.array([excluded & ((1 << 64) - 1)], dtype=np.uint64),
+            protocol=np.full(1, int(ICMPV6), dtype=np.uint8),
+            dst_port=np.zeros(1, dtype=np.uint16),
+            src_asn=np.zeros(1, dtype=np.uint32),
+            scanner_id=np.full(1, -1, dtype=np.int64))
         assert len(t2.capture) == before
         assert t2.capture.dropped >= 1
 
