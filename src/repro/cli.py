@@ -43,9 +43,6 @@ from repro.telescope.deployment import T1_PREFIX
 FIGURES = ("fig3", "fig4", "fig5", "fig7", "fig8", "fig9", "fig10",
            "fig11", "fig12", "fig14", "fig15", "fig16", "fig17")
 
-#: Sim-time spacing of ``-v`` heartbeat lines (one per simulated week).
-HEARTBEAT_INTERVAL = WEEK
-
 log = obs.log.get_logger("cli")
 
 
@@ -60,7 +57,9 @@ def _add_obs_flags(cmd: argparse.ArgumentParser) -> None:
                      help="stderr log verbosity (default info)")
     cmd.add_argument("-v", "--verbose", action="store_true",
                      help="log a sim-time heartbeat (events/sec, queue "
-                          "depth, ETA) while simulating")
+                          "depth, ETA) per simulated week while "
+                          "simulating; a sharded or checkpointed build "
+                          "logs each worker's, naming its shard")
     cmd.add_argument("--serve-obs", metavar="PORT", type=int, default=None,
                      help="serve live /metrics (Prometheus), /status, "
                           "/events and /trace on this port while the "
@@ -378,7 +377,7 @@ def _dispatch_with_obs(handler, args: argparse.Namespace) -> int:
     obs.log.configure(getattr(args, "log_level", "info"), run_id=run_id)
     # heartbeats feed both the -v log lines and the live /status board
     recorder = obs.FlightRecorder(
-        heartbeat_interval=HEARTBEAT_INTERVAL
+        heartbeat_interval=obs.HEARTBEAT_INTERVAL
         if (verbose or serve_port is not None) else None)
 
     if events_path:

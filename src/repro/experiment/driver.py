@@ -434,9 +434,9 @@ def _run_sharded(config, registry, faults, num_shards, tracer, recorder,
                           "from manifest", len(completed), num_shards)
                 # wipe the crashed run's remnants for every shard that
                 # re-executes — partial spills, worker result/stderr
-                # files, and telemetry spools the tailer would otherwise
+                # files, and event spools the tailer would otherwise
                 # re-fold from offset zero
-                spool_root = spill_root / "obs"
+                spool_root = sharding.spool_dir(spill_root)
                 for shard in range(num_shards):
                     if shard in completed:
                         continue
@@ -445,13 +445,8 @@ def _run_sharded(config, registry, faults, num_shards, tracer, recorder,
                     for stale in (
                             spill_root / f"shard{shard:03d}.result.json",
                             spill_root / f"shard{shard:03d}.stderr",
-                            Path(obsevents.spool_path(spool_root, shard)),
-                            Path(obsevents.trace_spool_path(spool_root,
-                                                            shard))):
-                        try:
-                            stale.unlink()
-                        except FileNotFoundError:
-                            pass
+                            obsevents.spool_path(spool_root, shard)):
+                        stale.unlink(missing_ok=True)
 
             def on_complete(shard: int, result: dict,
                             _manifest=manifest) -> None:
@@ -465,45 +460,34 @@ def _run_sharded(config, registry, faults, num_shards, tracer, recorder,
 
         event_log = obsevents.current()
         with spill_ctx as spill:
-            # worker telemetry spools live beside the spill chunks; the
-            # tailer streams them into the unified event log + live
-            # registry while workers run
-            spool = None
+            # every worker reports over its event spool beside the spill
+            # chunks; whenever this run is observed, the tailer streams
+            # the spools into the unified event log and the live
+            # registry while the workers run
             tailer = None
-            if recorder is not None and event_log is not None:
-                spool = Path(spill) / "obs"
-                spool.mkdir(exist_ok=True)
+            if recorder is not None or event_log is not None:
                 tailer = sharding.SpoolTailer(
-                    spool, num_shards, event_log=event_log,
-                    registry=recorder.metrics)
+                    sharding.spool_dir(spill), num_shards,
+                    event_log=event_log, recorder=recorder)
                 tailer.start()
             try:
                 with _stage(tracer, "shard_simulate", stage_seconds,
                             shards=num_shards):
                     shard_results = sharding.run_shards(
                         config, plan, num_shards, spill, feed=feed,
-                        record_obs=recorder is not None,
-                        obs_spool=spool,
                         run_id=(event_log.run_id
                                 if event_log is not None else run_id),
-                        heartbeat_interval=(recorder.heartbeat_interval
-                                            if recorder is not None
-                                            else None),
                         timeouts=timeouts, tailer=tailer,
                         completed=completed, on_complete=on_complete)
             finally:
                 if tailer is not None:
                     tailer.stop()
+            if tailer is not None:
+                tailer.fold()
             quarantined = tuple(
                 shard for shard, res in enumerate(shard_results)
                 if res is None)
             live_results = [r for r in shard_results if r is not None]
-            _fold_shard_obs(
-                recorder, live_results,
-                skip_counter_shards=(tailer.folded_shards
-                                     if tailer is not None else ()))
-            if recorder is not None and spool is not None:
-                sharding.merge_shard_traces(recorder, spool, num_shards)
             context.packets_emitted = sum(
                 r["packets_emitted"] for r in live_results)
             context.packets_unrouted = sum(
@@ -540,40 +524,10 @@ def _run_sharded(config, registry, faults, num_shards, tracer, recorder,
         corpus=corpus, deployment=deployment, population=population,
         context=context, wall_seconds=_time.monotonic() - started,
         stage_seconds=stage_seconds, stage_cpu_seconds=stage_cpu,
-        shard_stats=[{k: v for k, v in res.items() if k != "metrics"}
-                     if res is not None else
+        shard_stats=[res if res is not None else
                      {"shard": shard, "quarantined": True}
                      for shard, res in enumerate(shard_results)],
         quarantined_shards=quarantined)
-
-
-def _fold_shard_obs(recorder, shard_results,
-                    skip_counter_shards=()) -> None:
-    """Surface worker metrics and timings in the coordinator registry.
-
-    Every folded series gains a ``shard=<i>`` label, so worker counters
-    stay attributable and never collide with the coordinator's own.
-    ``skip_counter_shards`` names shards whose counters the live
-    :class:`~repro.experiment.sharding.SpoolTailer` already streamed in
-    (workers emit a final ``metrics.delta`` before exiting, so the live
-    folds sum exactly to the snapshot) — folding the snapshot again
-    would double-count them; gauges and histograms are not streamed and
-    always fold here.
-    """
-    if recorder is None:
-        return
-    skip = set(skip_counter_shards)
-    for res in shard_results:
-        snapshot = res["metrics"]
-        if res["shard"] in skip:
-            snapshot = {k: v for k, v in snapshot.items()
-                        if k != "counters"}
-        recorder.metrics.merge_snapshot(snapshot, shard=res["shard"])
-        for stage, seconds in res["stage_seconds"].items():
-            recorder.metrics.gauge("shard.stage_seconds", stage=stage,
-                                   shard=res["shard"]).set(seconds)
-
-
 
 
 def resume_experiment(checkpoint_dir: str | Path,

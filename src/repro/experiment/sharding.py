@@ -33,6 +33,11 @@ corpus in RAM — the differential tests in ``tests/test_sharding.py``
 and ``tests/test_store_v2.py`` pin this with ``corpus_digest`` as the
 oracle.
 
+Every worker also writes one event spool, its only telemetry channel
+(:func:`run_shard`): the supervisor reads the spool's growth as the
+shard's progress, and a coordinator that observes the run tails it
+into its event log, registry and trace (:class:`SpoolTailer`).
+
 Workers are stateless: every task rebuilds its world from the picklable
 :class:`ShardTask`, so a fresh worker process executes it correctly, and
 a *retried* task re-executes byte-identically — the
@@ -56,8 +61,7 @@ import signal
 import sys
 import threading
 import time
-from contextlib import nullcontext
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Callable, Iterable, Mapping, Sequence
 
@@ -81,6 +85,7 @@ from repro.sim.events import Simulator
 from repro.sim.rng import RngStreams
 
 _log = obs.log.get_logger("sharding")
+_obs_log = obs.log.get_logger("obs")
 
 
 # -- partitioner -----------------------------------------------------------
@@ -107,31 +112,6 @@ def resolve_shards(spec: int | str) -> int:
     if count < 1:
         raise ExperimentError(f"shard count must be >= 1, got {count}")
     return count
-
-
-def shard_of(scanner_id: int, num_shards: int) -> int:
-    """The shard owning ``scanner_id`` under the simple modulo mapping.
-
-    Plain modulo is total and stable by construction: independent of
-    population size and build order, and it spreads each ID block
-    (ordinary scanners from 1, the atlas fleet from 1_000_000, heavy
-    hitters from 2_000_000) across all shards instead of clustering a
-    whole class on one worker. The sharded builder itself balances by
-    *estimated cost* instead (:func:`weighted_assignment`); modulo
-    remains the partition for callers that only have IDs.
-    """
-    if num_shards < 1:
-        raise ExperimentError(f"shard count must be >= 1, got {num_shards}")
-    return scanner_id % num_shards
-
-
-def partition(scanner_ids: Iterable[int],
-              num_shards: int) -> list[list[int]]:
-    """Split scanner IDs into ``num_shards`` disjoint, exhaustive lists."""
-    shards: list[list[int]] = [[] for _ in range(resolve_shards(num_shards))]
-    for scanner_id in scanner_ids:
-        shards[shard_of(scanner_id, num_shards)].append(scanner_id)
-    return shards
 
 
 #: cost-model constants for :func:`scanner_weight` — packets-equivalent
@@ -304,6 +284,12 @@ def quarantine_windows(population: "Sequence[Scanner]",
 # -- worker ----------------------------------------------------------------
 
 
+def spool_dir(spill_dir: str | Path) -> Path:
+    """Directory of the shard event spools of a fan-out spilling to
+    ``spill_dir`` (one ``shardNNN.events.jsonl`` per shard)."""
+    return Path(spill_dir) / "obs"
+
+
 @dataclass(frozen=True)
 class ShardTask:
     """Everything a worker needs to rebuild and run its shard.
@@ -322,20 +308,9 @@ class ShardTask:
     #: simulating the BGP flood itself — withdrawals are pruned because
     #: every subscriber a worker can host ignores them.
     feed: tuple[CollectorEntry, ...]
-    #: run the worker under its own FlightRecorder and return a metrics
-    #: snapshot; the coordinator turns this off when it has no recorder
-    #: itself, sparing the workers the recording overhead.
-    record_obs: bool = True
-    #: directory for per-shard telemetry spools (heartbeat/metric-delta
-    #: events + the span-tree dump the coordinator merges into one
-    #: Chrome trace); ``None`` disables spooling.
-    obs_spool: str | None = None
     #: the campaign's run id, stamped on every spooled event record and
     #: onto the worker's log lines (``<run_id>/s<shard>``).
     run_id: str | None = None
-    #: sim-seconds between worker heartbeat/metric-delta events
-    #: (``None``/0 = no periodic beats, only start/end records).
-    heartbeat_interval: float | None = None
     #: 1-based execution attempt, stamped by the supervisor on retries.
     #: Purely observational plus the gate for per-attempt process
     #: faults — the simulation itself never reads it, which is what
@@ -347,11 +322,23 @@ def run_shard(task: ShardTask) -> dict:
     """Worker entrypoint: build, simulate, flush, and spill one shard.
 
     Returns a plain dict (picklable) with the spill segment paths and
-    their sha256 digests, emission totals, per-stage wall and CPU
-    seconds, and the worker's metrics snapshot. CPU seconds are what the
-    scaling bench aggregates — on a machine with fewer cores than
-    shards, wall time includes time-slicing that says nothing about the
-    per-shard work.
+    their sha256 digests, emission totals, and per-stage wall and CPU
+    seconds. CPU seconds are what the scaling accounting aggregates —
+    on a machine with fewer cores than shards, wall time includes
+    time-slicing that says nothing about the per-shard work.
+
+    The worker's event spool (under :func:`spool_dir`) is its only
+    telemetry channel, written on every run whatever the coordinator
+    observes: ``shard.start``; a ``heartbeat`` and a ``metrics.delta``
+    every :data:`~repro.obs.recorder.HEARTBEAT_INTERVAL` of sim time
+    (its own :class:`~repro.obs.FlightRecorder` runs throughout); the
+    last ``metrics.delta``; ``shard.end`` with the stage seconds and the
+    final gauges and histograms; and one ``shard.trace`` holding the
+    worker's Chrome span events, pid and tracer wall anchor. The
+    coordinator reads the spool's growth as the shard's progress, and
+    tails it when it observes the run (:class:`SpoolTailer`). The
+    process-wide event log inherited from the coordinator (fork) is
+    saved and restored, never written to from shard code.
     """
     stage_wall: dict[str, float] = {}
     stage_cpu: dict[str, float] = {}
@@ -363,112 +350,91 @@ def run_shard(task: ShardTask) -> dict:
         stage_cpu[name] = now_cpu - last[1]
         last[0], last[1] = now_wall, now_cpu
 
-    # telemetry spooling: the worker's own event log (stamped shard=i)
-    # plus, at the end, its full span tree — the coordinator tails the
-    # former live and merges the latter into the single campaign trace.
-    # The process-wide event log inherited from the coordinator (fork)
-    # is saved and restored, never written to from shard code.
     previous_log = obsevents.current()
-    event_log: obsevents.EventLog | None = None
-    spooling = task.record_obs and task.obs_spool is not None
-    if spooling:
-        event_log = obsevents.EventLog(
-            obsevents.spool_path(task.obs_spool, task.shard),
-            run_id=task.run_id, shard=task.shard)
-        obsevents.install(event_log)
-        if task.run_id:
-            obs.log.configure(run_id=f"{task.run_id}/s{task.shard}")
-    else:
-        obsevents.uninstall()
+    event_log = obsevents.EventLog(
+        obsevents.spool_path(spool_dir(task.spill_dir), task.shard),
+        run_id=task.run_id, shard=task.shard)
+    obsevents.install(event_log)
+    if task.run_id:
+        obs.log.configure(run_id=f"{task.run_id}/s{task.shard}")
     try:
-        return _run_shard_body(task, stage, stage_wall, stage_cpu)
+        with obs.FlightRecorder(
+                heartbeat_interval=obs.HEARTBEAT_INTERVAL) as recorder:
+            return _run_shard_body(task, recorder, stage, stage_wall,
+                                   stage_cpu)
     finally:
-        if event_log is not None:
-            event_log.close()
+        event_log.close()
         if previous_log is not None:
             obsevents.install(previous_log)
         else:
             obsevents.uninstall()
 
 
-def _run_shard_body(task: ShardTask, stage, stage_wall: dict,
-                    stage_cpu: dict) -> dict:
+def _run_shard_body(task: ShardTask, recorder: obs.FlightRecorder, stage,
+                    stage_wall: dict, stage_cpu: dict) -> dict:
     config = task.config
-    spooling = task.record_obs and task.obs_spool is not None
-    with (obs.FlightRecorder() if task.record_obs
-          else nullcontext()) as recorder:
-        if recorder is not None and task.heartbeat_interval:
-            recorder.heartbeat_interval = task.heartbeat_interval
-        obsevents.emit("shard.start", pid=os.getpid(),
-                       shards=task.num_shards, attempt=task.attempt)
-        with obs.span("shard.run", shard=task.shard,
-                      shards=task.num_shards):
-            streams = RngStreams(config.seed)
-            simulator = Simulator(shard=task.shard)
-            deployment = deployment_for(config, streams,
-                                        simulator=simulator,
-                                        replay_feed=task.feed)
-            # the population build is replayed in full — its shared
-            # assignment stream must see the same draw sequence as the
-            # unsharded build — and only then thinned to this shard
-            population = population_for(config, deployment, ASRegistry(),
-                                        streams)
-            stage("build")
+    obsevents.emit("shard.start", pid=os.getpid(),
+                   shards=task.num_shards, attempt=task.attempt)
+    with obs.span("shard.run", shard=task.shard, shards=task.num_shards):
+        streams = RngStreams(config.seed)
+        simulator = Simulator(shard=task.shard)
+        deployment = deployment_for(config, streams, simulator=simulator,
+                                    replay_feed=task.feed)
+        # the population build is replayed in full — its shared
+        # assignment stream must see the same draw sequence as the
+        # unsharded build — and only then thinned to this shard
+        population = population_for(config, deployment, ASRegistry(),
+                                    streams)
+        stage("build")
 
-            context = context_for(config, deployment)
-            assign = weighted_assignment(population, task.num_shards,
-                                         config.duration, len(task.feed))
-            mine = [s for s in population
-                    if assign[s.scanner_id] == task.shard]
-            for scanner in mine:
-                scanner.start(context)
-            if task.plan is not None:
-                # the flap's BGP side is already in the recorded feed;
-                # arm only the data-plane faults
-                injector = FaultInjector(task.plan, seed=config.seed)
-                injector.install(deployment, control_plane=False)
-                injector.arm_process_faults(
-                    simulator, shard=task.shard, duration=config.duration,
-                    attempt=task.attempt)
-            stage("schedule")
+        context = context_for(config, deployment)
+        assign = weighted_assignment(population, task.num_shards,
+                                     config.duration, len(task.feed))
+        mine = [s for s in population
+                if assign[s.scanner_id] == task.shard]
+        for scanner in mine:
+            scanner.start(context)
+        if task.plan is not None:
+            # the flap's BGP side is already in the recorded feed; arm
+            # only the data-plane faults
+            injector = FaultInjector(task.plan, seed=config.seed)
+            injector.install(deployment, control_plane=False)
+            injector.arm_process_faults(
+                simulator, shard=task.shard, duration=config.duration,
+                attempt=task.attempt)
+        stage("schedule")
 
-            if recorder is not None and task.heartbeat_interval:
-                recorder.attach(simulator, config.duration)
-            try:
-                simulator.run_until(config.duration)
-            finally:
-                if recorder is not None and task.heartbeat_interval:
-                    recorder.detach(simulator)
-            stage("simulate")
+        recorder.attach(simulator, config.duration)
+        try:
+            simulator.run_until(config.duration)
+        finally:
+            recorder.detach(simulator)
+        stage("simulate")
 
-            context.flush_batches()
-            stage("flush_batches")
+        context.flush_batches()
+        stage("flush_batches")
 
-            segments: dict[str, dict] = {}
-            for name, telescope in deployment.telescopes.items():
-                table = telescope.capture.table()
-                chunk_dir = Path(task.spill_dir) / \
-                    f"shard{task.shard:03d}" / name
-                manifest = write_table_chunks(table, chunk_dir)
-                segments[name] = {"dir": str(chunk_dir),
-                                  "manifest": manifest,
-                                  "rows": len(table)}
-            stage("spill")
-        snapshot = recorder.metrics.snapshot() \
-            if recorder is not None else {}
-        if spooling and recorder is not None:
-            # flush_batches/spill moved counters after the simulate-stage
-            # detach; ship the remainder so the live deltas sum exactly
-            # to the final snapshot
-            recorder.emit_metric_deltas()
-            obsevents.write_trace_spool(
-                obsevents.trace_spool_path(task.obs_spool, task.shard),
-                recorder.tracer.chrome_events(),
-                recorder.tracer.anchor_wall(), task.shard)
-        obsevents.emit("shard.end", pid=os.getpid(),
-                       scanners=len(mine),
-                       packets_emitted=context.packets_emitted,
-                       stage_seconds=stage_wall)
+        segments: dict[str, dict] = {}
+        for name, telescope in deployment.telescopes.items():
+            table = telescope.capture.table()
+            chunk_dir = Path(task.spill_dir) / \
+                f"shard{task.shard:03d}" / name
+            manifest = write_table_chunks(table, chunk_dir)
+            segments[name] = {"dir": str(chunk_dir),
+                              "manifest": manifest,
+                              "rows": len(table)}
+        stage("spill")
+    # flush_batches and the spill moved counters after the detach; ship
+    # the remainder so the deltas sum exactly to the final counters
+    recorder.emit_metric_deltas()
+    final = recorder.metrics.snapshot()
+    obsevents.emit("shard.end", pid=os.getpid(), scanners=len(mine),
+                   packets_emitted=context.packets_emitted,
+                   stage_seconds=stage_wall, gauges=final["gauges"],
+                   histograms=final["histograms"])
+    obsevents.emit("shard.trace", pid=os.getpid(),
+                   anchor_wall=recorder.tracer.anchor_wall(),
+                   events=recorder.tracer.chrome_events())
 
     return {
         "shard": task.shard,
@@ -478,7 +444,6 @@ def _run_shard_body(task: ShardTask, stage, stage_wall: dict,
         "packets_unrouted": context.packets_unrouted,
         "stage_seconds": stage_wall,
         "stage_cpu_seconds": stage_cpu,
-        "metrics": snapshot,
     }
 
 
@@ -528,6 +493,13 @@ def _worker_main(runner: Callable[[ShardTask], dict], task: ShardTask,
 # -- coordinator -----------------------------------------------------------
 
 
+#: Seconds between the spool tailer's polls of the worker spools.
+TAIL_POLL_SECONDS = 0.25
+
+#: Seconds between the supervisor's polls of its worker processes.
+SUPERVISE_POLL_SECONDS = 0.05
+
+
 class SpoolTailer:
     """Tail shard-worker event spools into the coordinator's telemetry.
 
@@ -539,47 +511,53 @@ class SpoolTailer:
       (preserving the worker's timestamps and ``shard`` field), which
       also fans it out to listeners — that is how the live
       :class:`~repro.obs.server.StatusBoard` sees per-shard progress
-      while workers are still running;
-    - folds ``metrics.delta`` counter increments into the live
-      coordinator registry under a ``shard=<i>`` label, so ``/metrics``
-      moves during the simulate stage instead of jumping at merge time.
+      while workers are still running. ``shard.trace`` records are the
+      one exception: they carry a worker's span tree, which belongs in
+      the trace, not the log;
+    - folds ``metrics.delta`` counter increments into the live registry
+      of the coordinator's ``recorder`` under a ``shard=<i>`` label, so
+      ``/metrics`` moves during the simulate stage instead of jumping
+      at merge time;
+    - logs each ``heartbeat`` on the ``repro.obs`` logger, naming the
+      shard, when that recorder beats itself (``-v`` or
+      ``--serve-obs``);
+    - keeps each shard's latest ``shard.end`` and ``shard.trace``, which
+      :meth:`fold` merges into the recorder at the end.
 
     ``stop()`` performs one final drain, so every record a worker wrote
     before exiting lands in the unified log even if it arrived between
     the last poll and shutdown. Counters folded live are exactly the
-    worker's final snapshot (workers emit a last delta before exiting),
-    so the coordinator's end-of-run fold skips counters for shards the
-    tailer already consumed (``_fold_shard_obs(skip_counters=...)``).
-    Should the poll thread ever fail to stop within its grace period,
-    the tailer degrades loudly — a warning log, a ``tailer.stalled``
-    event, a ``tailer.stalled_total`` counter — and still attempts the
-    final drain (with a bounded lock wait) instead of silently dropping
-    whatever the workers spooled last.
+    worker's final counters (workers emit a last delta before
+    ``shard.end``). Should the poll thread ever fail to stop within its
+    grace period, the tailer degrades loudly — a warning log, a
+    ``tailer.stalled`` event, a ``tailer.stalled_total`` counter — and
+    still attempts the final drain (with a bounded lock wait) instead of
+    silently dropping whatever the workers spooled last.
 
     The supervisor calls :meth:`reset_shard` before re-executing a
     failed shard: the spool of the dead attempt is discarded, its
-    tail offset rewinds, and every counter the tailer folded for that
-    shard is zeroed (a Prometheus-style counter reset on worker
-    restart), so the retry's deltas fold from a clean slate and the
-    final figures match an unfaulted run.
+    tail offset rewinds, its kept records go, and every counter the
+    tailer folded for that shard is zeroed (a Prometheus-style counter
+    reset on worker restart), so the retry's deltas fold from a clean
+    slate and the final figures match an unfaulted run.
     """
 
     def __init__(self, spool_dir: str | Path, num_shards: int,
                  event_log: "obsevents.EventLog | None" = None,
-                 registry=None, poll_interval: float = 0.25) -> None:
+                 recorder: "obs.FlightRecorder | None" = None) -> None:
         self.spool_dir = Path(spool_dir)
         self.num_shards = num_shards
         self.event_log = event_log
-        self.registry = registry
-        self.poll_interval = poll_interval
+        self.recorder = recorder
         self._offsets = {shard: 0 for shard in range(num_shards)}
         self._stop = threading.Event()
         self._thread: threading.Thread | None = None
         self._lock = threading.Lock()
-        #: shards whose counter deltas were folded into the registry.
-        self.folded_shards: set[int] = set()
         #: per-shard counter keys folded so far (undone on reset_shard).
         self._folded_keys: dict[int, set[str]] = {}
+        #: each shard's latest ``shard.end`` and ``shard.trace`` record.
+        self.ends: dict[int, dict] = {}
+        self.traces: dict[int, dict] = {}
 
     def start(self) -> "SpoolTailer":
         if self._thread is None:
@@ -601,22 +579,15 @@ class SpoolTailer:
                 _log.warning(
                     "spool tailer thread failed to stop within 10s; "
                     "live telemetry is degraded (final records may "
-                    "arrive late or fold at merge time)")
+                    "arrive late or be missing)")
                 obs.add("tailer.stalled_total")
                 obsevents.emit("tailer.stalled", shards=self.num_shards)
                 self.drain(lock_timeout=1.0)
                 return
         self.drain()  # pick up anything written after the last poll
 
-    def __enter__(self) -> "SpoolTailer":
-        return self.start()
-
-    def __exit__(self, exc_type, exc, tb) -> bool:
-        self.stop()
-        return False
-
     def _run(self) -> None:
-        while not self._stop.wait(self.poll_interval):
+        while not self._stop.wait(TAIL_POLL_SECONDS):
             self.drain()
 
     def drain(self, lock_timeout: float | None = None) -> int:
@@ -655,57 +626,65 @@ class SpoolTailer:
             for key in self._folded_keys.pop(shard, set()):
                 name, labels = _parse_key(key)
                 labels["shard"] = str(shard)
-                self.registry.counter(name, **labels).reset()
-            self.folded_shards.discard(shard)
-            for path in (obsevents.spool_path(self.spool_dir, shard),
-                         obsevents.trace_spool_path(self.spool_dir, shard)):
-                try:
-                    Path(path).unlink()
-                except FileNotFoundError:
-                    pass
+                self.recorder.metrics.counter(name, **labels).reset()
+            self.ends.pop(shard, None)
+            self.traces.pop(shard, None)
+            obsevents.spool_path(self.spool_dir, shard).unlink(
+                missing_ok=True)
 
     def _consume(self, shard: int, record: dict) -> None:
-        if record.get("kind") == "metrics.delta" \
-                and self.registry is not None:
-            self.folded_shards.add(shard)
+        kind = record.get("kind")
+        if kind == "shard.trace":
+            self.traces[shard] = record
+            return
+        if kind == "shard.end":
+            self.ends[shard] = record
+        elif kind == "metrics.delta" and self.recorder is not None:
             for key, moved in (record.get("counters") or {}).items():
                 name, labels = _parse_key(key)
                 labels["shard"] = str(shard)
                 try:
-                    self.registry.counter(name, **labels).inc(float(moved))
+                    self.recorder.metrics.counter(name, **labels).inc(
+                        float(moved))
                 except (TypeError, ValueError):
                     continue
                 self._folded_keys.setdefault(shard, set()).add(key)
+        elif kind == "heartbeat" and self.recorder is not None \
+                and self.recorder.heartbeat_interval:
+            _obs_log.info("shard %d %s", shard, obs.heartbeat_line(record))
         if self.event_log is not None:
             self.event_log.forward(record)
 
+    def fold(self) -> None:
+        """Merge the kept ``shard.end`` and ``shard.trace`` records into
+        the recorder (after :meth:`stop`; a no-op without one).
 
-def merge_shard_traces(recorder, spool_dir: str | Path,
-                       num_shards: int) -> int:
-    """Fold every worker's span-tree spool into ``recorder``'s trace.
-
-    Worker spans keep their OS pid (labeled ``shard <i>`` via Chrome
-    ``process_name`` metadata) and are shifted onto the coordinator's
-    timeline using the difference of the two tracers' wall-clock anchors
-    — so a span that ran at wall time T renders at the same instant in
-    every process track. Returns the number of shards merged.
-    """
-    if recorder is None:
-        return 0
-    anchor = recorder.tracer.anchor_wall()
-    merged = 0
-    for shard in range(num_shards):
-        payload = obsevents.read_trace_spool(
-            obsevents.trace_spool_path(spool_dir, shard))
-        if payload is None:
-            continue
-        shift_us = (float(payload.get("anchor_wall", anchor)) - anchor) * 1e6
-        events = [dict(ev, ts=ev.get("ts", 0.0) + shift_us)
-                  for ev in payload["events"]]
-        recorder.add_foreign_events(
-            events, pid=payload.get("pid"), name=f"shard {shard}")
-        merged += 1
-    return merged
+        Each shard's stage seconds become ``shard.stage_seconds`` gauges
+        and its final gauges and histograms merge in, all under
+        ``shard=<i>`` (its counters already arrived live). Each trace is
+        shifted onto the coordinator's timeline by the difference of the
+        two tracers' wall anchors — a span that ran at wall time T
+        renders at the same instant in every process track — under a
+        ``shard <i>`` process track.
+        """
+        recorder = self.recorder
+        if recorder is None:
+            return
+        metrics = recorder.metrics
+        for shard, end in sorted(self.ends.items()):
+            metrics.merge_snapshot(
+                {"gauges": end.get("gauges") or {},
+                 "histograms": end.get("histograms") or {}}, shard=shard)
+            for stage, seconds in (end.get("stage_seconds") or {}).items():
+                metrics.gauge("shard.stage_seconds", stage=stage,
+                              shard=shard).set(seconds)
+        anchor = recorder.tracer.anchor_wall()
+        for shard, trace in sorted(self.traces.items()):
+            shift_us = (float(trace["anchor_wall"]) - anchor) * 1e6
+            recorder.add_foreign_events(
+                [dict(ev, ts=ev.get("ts", 0.0) + shift_us)
+                 for ev in trace.get("events") or ()],
+                pid=trace.get("pid"), name=f"shard {shard}")
 
 
 # -- supervision -----------------------------------------------------------
@@ -861,8 +840,8 @@ class ShardSupervisor:
     missing result file or nonzero exitcode is a failure, with the
     worker's captured stderr tail as the diagnosis) and enforces
     per-shard wall-clock timeouts derived from the LPT cost model — a
-    shard whose telemetry spool stops growing for its budget is
-    declared hung and SIGKILLed. Workers arm
+    shard whose event spool (which every worker writes) stops growing
+    for its budget is declared hung and SIGKILLed. Workers arm
     ``PR_SET_PDEATHSIG`` so a SIGKILLed coordinator cannot leak orphans
     into a spill directory a resumed run will reuse.
 
@@ -883,15 +862,13 @@ class ShardSupervisor:
                  tailer: SpoolTailer | None = None,
                  completed: Mapping[int, dict] | None = None,
                  on_complete: "Callable[[int, dict], None] | None" = None,
-                 runner: "Callable[[ShardTask], dict]" = run_shard,
-                 poll_interval: float = 0.05) -> None:
+                 runner: "Callable[[ShardTask], dict]" = run_shard) -> None:
         self.policy = RetryPolicy.of(policy)
         self.timeouts = dict(timeouts) if timeouts is not None else None
         self.on_failure = on_failure
         self.tailer = tailer
         self.on_complete = on_complete
         self.runner = runner
-        self.poll_interval = poll_interval
         self.retries = 0
         self.quarantined: list[int] = []
         self._states = {shard: _ShardState(task=task)
@@ -932,6 +909,9 @@ class ShardSupervisor:
     def _stderr_path(self, shard: int) -> Path:
         return self.spill_dir / f"shard{shard:03d}.stderr"
 
+    def _spool_path(self, shard: int) -> Path:
+        return obsevents.spool_path(spool_dir(self.spill_dir), shard)
+
     def _shard_timeout(self, state: _ShardState) -> float | None:
         if self.timeouts is None:
             return None
@@ -945,11 +925,10 @@ class ShardSupervisor:
         shard = state.task.shard
         shutil.rmtree(self.spill_dir / f"shard{shard:03d}",
                       ignore_errors=True)
-        for path in (self._result_path(shard),):
-            try:
-                path.unlink()
-            except FileNotFoundError:
-                pass
+        # the spool goes before the tailer rewinds, so no drain re-reads
+        # the dead attempt's records from offset zero
+        for path in (self._result_path(shard), self._spool_path(shard)):
+            path.unlink(missing_ok=True)
         if self.tailer is not None:
             self.tailer.reset_shard(shard)
         state.spool_size = -1
@@ -1045,13 +1024,9 @@ class ShardSupervisor:
                    shard, state.attempt, proc.pid)
 
     def _progressed(self, state: _ShardState) -> bool:
-        """Has the shard's telemetry spool grown since the last check?"""
-        spool = state.task.obs_spool
-        if spool is None:
-            return False
+        """Has the shard's event spool grown since the last check?"""
         try:
-            size = os.path.getsize(
-                obsevents.spool_path(spool, state.task.shard))
+            size = os.path.getsize(self._spool_path(state.task.shard))
         except OSError:
             return False
         if size != state.spool_size:
@@ -1113,7 +1088,7 @@ class ShardSupervisor:
                         self._timeout(state, timeout)
                         moved = True
                 if not moved:
-                    time.sleep(self.poll_interval)
+                    time.sleep(SUPERVISE_POLL_SECONDS)
         except BaseException:
             self._kill_all()
             raise
@@ -1138,10 +1113,7 @@ def run_shards(config: ExperimentConfig,
                num_shards: int,
                spill_dir: str | Path,
                feed: tuple[CollectorEntry, ...],
-               record_obs: bool = True,
-               obs_spool: str | Path | None = None,
                run_id: str | None = None,
-               heartbeat_interval: float | None = None,
                timeouts: Mapping[int, float] | None = None,
                tailer: SpoolTailer | None = None,
                completed: Mapping[int, dict] | None = None,
@@ -1150,13 +1122,14 @@ def run_shards(config: ExperimentConfig,
     """Fan the shard tasks out under supervision; results in shard order.
 
     ``feed`` is the recorded collector journal every worker replays
-    (see :class:`ShardTask`). ``obs_spool``/``run_id``/
-    ``heartbeat_interval`` arm worker-side telemetry spooling (see
-    :class:`ShardTask`); start a :class:`SpoolTailer` over the same
-    directory to consume it live and pass it in as ``tailer`` so a
-    retried shard's live-folded counters reset cleanly. All execution
-    goes through the :class:`ShardSupervisor` (one supervised worker
-    process per shard, crash/hang detection and bounded retries per
+    (see :class:`ShardTask`); ``run_id`` is stamped on the workers'
+    spool records and log lines. Every worker spools its telemetry
+    under :func:`spool_dir` of ``spill_dir``; start a
+    :class:`SpoolTailer` over that directory to consume it live and
+    pass it in as ``tailer`` so a retried shard's live-folded counters
+    reset cleanly. All execution goes through the
+    :class:`ShardSupervisor` (one supervised worker process per shard,
+    crash/hang detection and bounded retries per
     ``config.retry_policy``). ``completed`` pre-seeds manifest-restored
     shards (skipped, not re-run) and ``on_complete`` fires per fresh
     completion (the driver records the manifest there). A quarantined
@@ -1166,9 +1139,7 @@ def run_shards(config: ExperimentConfig,
         index: ShardTask(
             config=config, plan=plan, shard=index,
             num_shards=num_shards, spill_dir=str(spill_dir),
-            feed=feed, record_obs=record_obs,
-            obs_spool=str(obs_spool) if obs_spool is not None else None,
-            run_id=run_id, heartbeat_interval=heartbeat_interval)
+            feed=feed, run_id=run_id)
         for index in range(num_shards)}
     supervisor = ShardSupervisor(
         tasks, policy=config.retry_policy, timeouts=timeouts,

@@ -27,16 +27,17 @@ from repro.obs import events, ledger, log, server
 from repro.obs.events import EventLog
 from repro.obs.events import emit as event
 from repro.obs.metrics import (Counter, Gauge, Histogram, MetricsRegistry)
-from repro.obs.recorder import (FlightRecorder, add, current, install,
-                                observe, set_gauge, span, traced,
-                                uninstall)
+from repro.obs.recorder import (HEARTBEAT_INTERVAL, FlightRecorder, add,
+                                current, heartbeat_line, install, observe,
+                                set_gauge, span, traced, uninstall)
 from repro.obs.server import ObsServer, StatusBoard
 from repro.obs.trace import NULL_SPAN, Span, Tracer
 
 __all__ = [
     "Counter", "Gauge", "Histogram", "MetricsRegistry",
     "Span", "Tracer", "NULL_SPAN",
-    "FlightRecorder", "current", "install", "uninstall",
+    "FlightRecorder", "HEARTBEAT_INTERVAL", "heartbeat_line",
+    "current", "install", "uninstall",
     "span", "add", "set_gauge", "observe", "traced",
     "log", "events", "event", "EventLog", "server", "ObsServer",
     "StatusBoard", "ledger",

@@ -21,24 +21,29 @@ slot: instrumented call sites use :func:`emit` (re-exported as
 log is installed — cheap enough to sprinkle through driver stages,
 fault callbacks, and store quarantine paths.
 
-Shard workers install their own :class:`EventLog` pointed at a
-per-shard *spool* file (with ``shard=<i>`` stamped on every record);
-the coordinator tails those spools (:class:`SpoolTailer` in
-:mod:`repro.experiment.sharding`) and :meth:`EventLog.forward`\\ s the
-records into its own unified log, preserving the worker's timestamps
-and fields.
+Every shard worker installs its own :class:`EventLog` pointed at a
+per-shard *spool* file (:func:`spool_path`, ``shard=<i>`` stamped on
+every record), on every fan-out whatever the coordinator observes. The
+spool is the worker's only channel to the coordinator: lifecycle
+records, weekly ``heartbeat`` and ``metrics.delta`` records, a
+``shard.end`` carrying the final gauges and histograms, and one
+``shard.trace`` carrying the worker's Chrome span events. The
+coordinator reads the spool's growth for hang detection and, when it
+observes the run, tails it (:class:`SpoolTailer` in
+:mod:`repro.experiment.sharding`): every record but ``shard.trace`` is
+:meth:`EventLog.forward`\\ ed into the unified log, preserving the
+worker's timestamps and fields.
 """
 
 from __future__ import annotations
 
 import io
 import json
-import os
 import threading
 import time
 import uuid
 from pathlib import Path
-from typing import Any, Callable, Iterable
+from typing import Any, Callable
 
 #: Bumped whenever a record's reserved fields change meaning.
 SCHEMA_VERSION = 1
@@ -149,11 +154,6 @@ class EventLog:
         with self._lock:
             self._listeners.append(listener)
 
-    def remove_listener(self, listener: Callable[[dict], None]) -> None:
-        with self._lock:
-            if listener in self._listeners:
-                self._listeners.remove(listener)
-
     # -- lifecycle ---------------------------------------------------------
 
     def close(self) -> None:
@@ -230,41 +230,3 @@ def read_events(path: str | Path, tail: int | None = None) -> list[dict]:
 def spool_path(spool_dir: str | Path, shard: int) -> Path:
     """Canonical per-shard event spool file under ``spool_dir``."""
     return Path(spool_dir) / f"shard{shard:03d}.events.jsonl"
-
-
-def trace_spool_path(spool_dir: str | Path, shard: int) -> Path:
-    """Canonical per-shard span-tree spool file under ``spool_dir``."""
-    return Path(spool_dir) / f"shard{shard:03d}.trace.json"
-
-
-def write_trace_spool(path: str | Path, events: Iterable[dict],
-                      anchor_wall: float, shard: int) -> Path:
-    """Persist a worker's Chrome trace events with its wall anchor.
-
-    ``anchor_wall`` is the wall-clock time of the worker tracer's epoch
-    (its ``ts=0``); the coordinator uses the difference between anchors
-    to shift worker spans onto its own timeline when merging the single
-    cross-process trace.
-    """
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    payload = {"anchor_wall": anchor_wall, "pid": os.getpid(),
-               "shard": shard, "events": list(events)}
-    tmp = path.with_suffix(".tmp")
-    with open(tmp, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh)
-    os.replace(tmp, path)
-    return path
-
-
-def read_trace_spool(path: str | Path) -> dict | None:
-    """Load a worker trace spool; ``None`` when absent or unreadable."""
-    path = Path(path)
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            payload = json.load(fh)
-    except (OSError, json.JSONDecodeError):
-        return None
-    if not isinstance(payload, dict) or "events" not in payload:
-        return None
-    return payload

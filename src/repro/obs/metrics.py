@@ -13,7 +13,6 @@ across PRs exactly like the paper's per-telescope packet counts.
 
 from __future__ import annotations
 
-import json
 import math
 import re
 import threading
@@ -119,9 +118,6 @@ class Gauge:
         with self._lock:
             self._value += amount
 
-    def dec(self, amount: float = 1.0) -> None:
-        self.inc(-amount)
-
     def set_max(self, value: float) -> None:
         """Keep the high-water mark of everything seen."""
         with self._lock:
@@ -214,12 +210,6 @@ class MetricsRegistry:
         self._counters: dict[tuple[str, LabelItems], Counter] = {}
         self._gauges: dict[tuple[str, LabelItems], Gauge] = {}
         self._histograms: dict[tuple[str, LabelItems], Histogram] = {}
-        self._help: dict[str, str] = {}
-
-    def describe(self, name: str, help_text: str) -> None:
-        """Attach a ``# HELP`` docstring to a metric family."""
-        with self._lock:
-            self._help[name] = help_text
 
     # -- get-or-create -----------------------------------------------------
 
@@ -302,15 +292,11 @@ class MetricsRegistry:
 
     # -- export ------------------------------------------------------------
 
-    def to_json(self, indent: int | None = 1) -> str:
-        return json.dumps(self.snapshot(), indent=indent)
-
     def to_prometheus(self) -> str:
         """Prometheus text exposition format (one block per metric name).
 
         Conformant with the text format 0.0.4: every family gets one
-        ``# HELP`` and one ``# TYPE`` line (``describe`` customizes the
-        help text), label values are escaped (backslash, quote,
+        ``# HELP`` and one ``# TYPE`` line, label values are escaped (backslash, quote,
         newline), histograms emit cumulative ``_bucket`` series ending
         in ``le="+Inf"`` plus ``_sum``/``_count``, and the exposition
         ends with a trailing newline.
@@ -323,8 +309,8 @@ class MetricsRegistry:
             prom = _PROM_NAME.sub("_", name)
             if prom not in seen_types:
                 seen_types.add(prom)
-                help_text = help_map.get(name, f"repro {kind} {name}")
-                lines.append(f"# HELP {prom} {escape_help_text(help_text)}")
+                lines.append(f"# HELP {prom} "
+                             f"{escape_help_text(f'repro {kind} {name}')}")
                 lines.append(f"# TYPE {prom} {kind}")
             return prom
 
@@ -346,7 +332,6 @@ class MetricsRegistry:
             counters = sorted(self._counters.items())
             gauges = sorted(self._gauges.items())
             histograms = sorted(self._histograms.items())
-            help_map = dict(self._help)
         for (name, labels), counter in counters:
             sample(header(name, "counter"), labels, counter.value)
         for (name, labels), gauge in gauges:

@@ -27,6 +27,10 @@ from repro.obs.trace import NULL_SPAN, Tracer, process_name_event
 
 _DAY = 86400.0
 
+#: Sim-seconds between heartbeats (one simulated week): the cadence of
+#: ``-v`` / ``--serve-obs`` and of every shard worker's spool.
+HEARTBEAT_INTERVAL = 7 * _DAY
+
 #: The installed recorder, or None. Read directly on hot paths.
 _active: "FlightRecorder | None" = None
 
@@ -75,6 +79,16 @@ def observe(name: str, value: float, **labels: object) -> None:
     recorder = _active
     if recorder is not None:
         recorder.metrics.histogram(name, **labels).observe(value)
+
+
+def heartbeat_line(beat: dict) -> str:
+    """The ``-v`` log line of one ``heartbeat`` record's fields."""
+    eta = beat.get("eta_s")
+    return (f"heartbeat: t={beat['sim_days']:.1f}d "
+            f"({beat['progress'] * 100.0:.0f}% of horizon) | "
+            f"{beat['events']:,} events ({beat['events_per_sec']:.0f} ev/s)"
+            f" | queue depth {beat['queue_depth']:,} | "
+            f"ETA {'?' if eta is None else f'{eta:.0f}s'}")
 
 
 def traced(name: str | None = None, **attrs: Any) -> Callable:
@@ -188,24 +202,22 @@ class FlightRecorder:
         self.metrics.gauge("sim.progress").set(frac)
         self.metrics.gauge("sim.queue_high_water").set_max(
             simulator.queue.high_water)
-        obsevents.emit("heartbeat", sim_days=round(simulator.now / _DAY, 3),
-                       progress=round(frac, 6), events=events,
-                       events_per_sec=round(rate, 1), queue_depth=depth,
-                       eta_s=round(eta, 1) if eta != float("inf") else None)
+        beat = {"sim_days": round(simulator.now / _DAY, 3),
+                "progress": round(frac, 6), "events": events,
+                "events_per_sec": round(rate, 1), "queue_depth": depth,
+                "eta_s": round(eta, 1) if eta != float("inf") else None}
+        obsevents.emit("heartbeat", **beat)
         self.emit_metric_deltas()
-        self.log.info(
-            "heartbeat: t=%.1fd (%.0f%% of horizon) | %s events "
-            "(%.0f ev/s) | queue depth %s | ETA %.0fs",
-            simulator.now / _DAY, frac * 100.0, f"{events:,}", rate,
-            f"{depth:,}", eta)
+        self.log.info("%s", heartbeat_line(beat))
 
     def emit_metric_deltas(self) -> None:
         """Emit the counter movement since the last call as one event.
 
-        Shard workers call this on every heartbeat (and once at detach),
-        so the coordinator's spool tailer can fold worker counters into
-        its live registry incrementally — the deltas over a worker's
-        lifetime sum exactly to its final snapshot.
+        Runs on every heartbeat and at detach; a shard worker calls it
+        once more after its spill, so the coordinator's spool tailer
+        folds worker counters into its live registry incrementally and
+        the deltas over a worker's lifetime sum exactly to its final
+        counters.
         """
         if obsevents.current() is None:
             return

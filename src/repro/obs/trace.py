@@ -14,12 +14,10 @@ an idle tracer costs nothing.
 
 from __future__ import annotations
 
-import functools
-import json
 import os
 import threading
 import time
-from typing import Any, Callable
+from typing import Any
 
 
 class Span:
@@ -132,21 +130,6 @@ class Tracer:
         stack = getattr(self._local, "stack", None)
         return stack[-1] if stack else None
 
-    def wrap(self, name: str | None = None, **attrs: Any) -> Callable:
-        """Decorator form: run the function inside a span."""
-
-        def decorate(fn: Callable) -> Callable:
-            span_name = name or fn.__qualname__
-
-            @functools.wraps(fn)
-            def wrapper(*args: Any, **kwargs: Any) -> Any:
-                with self.span(span_name, **attrs):
-                    return fn(*args, **kwargs)
-
-            return wrapper
-
-        return decorate
-
     # -- introspection -----------------------------------------------------
 
     def roots(self) -> list[Span]:
@@ -203,16 +186,14 @@ class Tracer:
         """
         return time.time() - (time.perf_counter() - self.epoch)
 
-    def chrome_events(self, pid: int | None = None,
-                      shift_us: float = 0.0) -> list[dict]:
+    def chrome_events(self) -> list[dict]:
         """Flat Chrome trace events (``ph: "X"``), sorted by start.
 
-        ``pid`` overrides the process id stamped on every event and
-        ``shift_us`` translates their timestamps — both used when a
-        coordinator merges shard-worker span trees into one trace.
+        Stamped with this process's pid; a shard worker ships them in
+        its ``shard.trace`` record for the coordinator to merge.
         """
         events: list[dict] = []
-        pid = os.getpid() if pid is None else pid
+        pid = os.getpid()
         epoch = self.epoch
 
         def walk(span: Span) -> None:
@@ -223,7 +204,7 @@ class Tracer:
                 "name": span.name,
                 "cat": "repro",
                 "ph": "X",
-                "ts": (span.start - epoch) * 1e6 + shift_us,
+                "ts": (span.start - epoch) * 1e6,
                 "dur": (end - span.start) * 1e6,
                 "pid": pid,
                 "tid": span.tid,
@@ -241,11 +222,6 @@ class Tracer:
         """Chrome trace-event JSON object (``traceEvents`` array)."""
         return {"traceEvents": self.chrome_events(),
                 "displayTimeUnit": "ms"}
-
-    def write_chrome_trace(self, path: str) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.chrome_trace(), fh, indent=1)
-            fh.write("\n")
 
 
 def process_name_event(pid: int, name: str) -> dict:

@@ -1,5 +1,7 @@
 """Tests for the command-line interface."""
 
+import logging
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -122,6 +124,40 @@ class TestCommands:
         assert "corpus written" in capsys.readouterr().out
         assert main(["load", out_dir]) == 0
         assert "Table 2" in capsys.readouterr().out
+
+
+class TestVerboseHeartbeats:
+    """``-v`` logs every worker's weekly heartbeat for a fan-out run."""
+
+    @staticmethod
+    def _heartbeats(argv) -> list[str]:
+        records: list[logging.LogRecord] = []
+        handler = logging.Handler()
+        handler.emit = records.append
+        logger = logging.getLogger("repro.obs")
+        logger.addHandler(handler)
+        try:
+            assert main(argv) == 0
+        finally:
+            logger.removeHandler(handler)
+        return [record.getMessage() for record in records
+                if "heartbeat:" in record.getMessage()]
+
+    def test_sharded_run_logs_each_shards_heartbeats(self, capsys):
+        lines = self._heartbeats(["run", "--scale", "0.03", "--shards", "2",
+                                  "-v"])
+        capsys.readouterr()
+        for shard in (0, 1):
+            assert any(line.startswith(f"shard {shard} heartbeat: ")
+                       for line in lines), lines
+
+    def test_checkpointed_run_logs_its_shards_heartbeats(self, capsys,
+                                                         tmp_path):
+        lines = self._heartbeats(["run", "--scale", "0.03",
+                                  "--checkpoint-dir", str(tmp_path), "-v"])
+        capsys.readouterr()
+        assert any(line.startswith("shard 0 heartbeat: ")
+                   for line in lines), lines
 
 
 class TestErrorHandling:

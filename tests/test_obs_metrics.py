@@ -37,7 +37,7 @@ class TestGauge:
         gauge = Gauge("g")
         gauge.set(10)
         gauge.inc(5)
-        gauge.dec(3)
+        gauge.inc(-3)
         assert gauge.value == 12
 
     def test_set_max_keeps_high_water(self):
@@ -104,12 +104,6 @@ class TestRegistry:
         assert snap["histograms"]["lat"]["count"] == 1
         # snapshot must round-trip through JSON
         assert json.loads(json.dumps(snap)) == snap
-
-    def test_json_export(self):
-        registry = MetricsRegistry()
-        registry.counter("a.b.c").inc()
-        data = json.loads(registry.to_json())
-        assert data["counters"]["a.b.c"] == 1
 
     def test_reset_zeroes_but_keeps_bound_references(self):
         registry = MetricsRegistry()
@@ -200,14 +194,6 @@ class TestPrometheusConformance:
             assert f"# TYPE {family} {kind}" in text
             # exactly one HELP/TYPE pair per family, not per series
             assert text.count(f"# TYPE {family} ") == 1
-
-    def test_describe_customizes_help_text(self):
-        registry = MetricsRegistry()
-        registry.describe("pkts.total", "Packets seen,\nall telescopes")
-        registry.counter("pkts.total").inc()
-        text = registry.to_prometheus()
-        # newline in help text is escaped, not emitted raw
-        assert "# HELP pkts_total Packets seen,\\nall telescopes" in text
 
     def test_histogram_emits_sum_count_and_inf(self):
         text = self._full_registry().to_prometheus()

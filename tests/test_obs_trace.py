@@ -94,30 +94,6 @@ class TestSpanNesting:
         assert sorted(seen) == ["t0", "t1", "t2", "t3"]
 
 
-class TestDecorator:
-    def test_wrap_records_span_and_returns_value(self):
-        tracer = Tracer()
-
-        @tracer.wrap("work.step", kind="unit")
-        def step(x):
-            return x * 2
-
-        assert step(21) == 42
-        spans = tracer.find("work.step")
-        assert len(spans) == 1
-        assert spans[0].attrs == {"kind": "unit"}
-
-    def test_wrap_defaults_to_qualname(self):
-        tracer = Tracer()
-
-        @tracer.wrap()
-        def named():
-            return 1
-
-        named()
-        assert tracer.roots()[0].name.endswith("named")
-
-
 class TestNullSpan:
     def test_null_span_is_reusable_and_inert(self):
         with NULL_SPAN as a:
@@ -168,15 +144,6 @@ class TestChromeTrace:
             pass
         event = tracer.chrome_trace()["traceEvents"][0]
         assert isinstance(event["args"]["level"], str)
-
-    def test_write_chrome_trace(self, tmp_path):
-        tracer = Tracer()
-        with tracer.span("only"):
-            pass
-        path = tmp_path / "trace.json"
-        tracer.write_chrome_trace(str(path))
-        loaded = json.loads(path.read_text())
-        assert loaded["traceEvents"][0]["name"] == "only"
 
 
 class TestRenderTree:

@@ -18,6 +18,7 @@ An ``overhead``-marked guard bounds what supervision costs a clean run.
 
 from __future__ import annotations
 
+import json
 import multiprocessing
 import subprocess
 import sys
@@ -39,6 +40,7 @@ from repro.experiment.sharding import ShardSupervisor, ShardTask
 from repro.experiment.store import corpus_digest
 from repro.experiment.corpus import TELESCOPE_NAMES
 from repro.faults import FaultPlan, ProcessFault
+from repro.obs import events as obsevents
 from repro.sim.rng import RngStreams
 
 #: Fast backoff for tests — semantics identical to the defaults.
@@ -156,6 +158,19 @@ def _hang_runner(task):
     time.sleep(600.0)
 
 
+def _spooling_runner(task):
+    """Append one spool record every ~50 ms for ~2 s, then succeed."""
+    path = obsevents.spool_path(sharding.spool_dir(task.spill_dir),
+                                task.shard)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    with open(path, "a", encoding="utf-8") as fh:
+        for beat in range(40):
+            fh.write(json.dumps({"kind": "heartbeat", "beat": beat}) + "\n")
+            fh.flush()
+            time.sleep(0.05)
+    return {"shard": task.shard, "scanners": 0, "packets_emitted": 0}
+
+
 def _make_tasks(tmp_path, num_shards=1):
     config = ExperimentConfig.tiny()
     return {i: ShardTask(config=config, plan=None, shard=i,
@@ -218,6 +233,21 @@ class TestSupervisorUnit:
         # by the runner's 600s sleep
         assert time.monotonic() - started < 30.0
 
+    def test_progressing_worker_outlives_its_budget(self, tmp_path):
+        """With nothing observing the run, the budget still counts from
+        the spool's last growth, not from launch: a worker that keeps
+        writing runs three times its budget and is never shot."""
+        assert obs.current() is None and obsevents.current() is None
+        supervisor = ShardSupervisor(
+            _make_tasks(tmp_path),
+            policy={"max_attempts": 1, "base_delay": 0.01},
+            timeouts={0: 0.6}, runner=_spooling_runner)
+        started = time.monotonic()
+        results = supervisor.run()   # a timeout would raise ShardError
+        assert time.monotonic() - started >= 2.0
+        assert results[0]["attempts"] == 1
+        assert supervisor.retries == 0
+
     def test_restored_shards_are_not_re_run(self, tmp_path):
         snapshot = {"shard": 0, "scanners": 3, "packets_emitted": 7}
         supervisor = ShardSupervisor(
@@ -254,17 +284,44 @@ def _kill_plan(shard, at_fraction=0.5, max_attempt=1):
 class TestKilledWorkerParity:
     """One SIGKILLed worker, retried: corpus byte-identical (ISSUE AC)."""
 
-    @pytest.mark.parametrize("num_shards", [2, 4])
-    def test_retry_is_byte_identical(self, num_shards, tiny_result):
-        config = replace(ExperimentConfig.tiny(), retry_policy=FAST_RETRY)
-        with obs.FlightRecorder() as recorder:
-            result = run_experiment(config, faults=_kill_plan(shard=1),
+    @staticmethod
+    def _observed(config, num_shards, log_path, faults=None):
+        with obs.FlightRecorder() as recorder, \
+                obsevents.EventLog(log_path):
+            result = run_experiment(config, faults=faults,
                                     shards=num_shards)
+        return recorder, result
+
+    @pytest.mark.parametrize("num_shards", [2, 4])
+    def test_retry_is_byte_identical(self, num_shards, tiny_result,
+                                     tmp_path):
+        """Under a recorder and an event log, the retried shard's dead
+        attempt leaves no trace: one ``shard.run`` span per shard, and
+        shard-labelled counters equal to a clean run's."""
+        config = replace(ExperimentConfig.tiny(), retry_policy=FAST_RETRY)
+        recorder, result = self._observed(
+            config, num_shards, tmp_path / "killed.jsonl",
+            faults=_kill_plan(shard=1))
         assert _digest(result) == _digest(tiny_result)
         counters = recorder.metrics.snapshot()["counters"]
         assert counters["sharding.retries_total"] >= 1
         stats = {s["shard"]: s for s in result.shard_stats}
         assert stats[1]["attempts"] == 2
+        runs = [e["args"]["shard"]
+                for e in recorder.chrome_trace()["traceEvents"]
+                if e.get("name") == "shard.run"]
+        assert sorted(runs) == list(range(num_shards))
+
+        clean, _ = self._observed(config, num_shards,
+                                  tmp_path / "clean.jsonl")
+
+        def shard_counters(rec):
+            return {key: value for key, value
+                    in rec.metrics.snapshot()["counters"].items()
+                    if "shard=" in key}
+
+        assert shard_counters(recorder) == shard_counters(clean)
+        assert shard_counters(clean)
 
     def test_hung_worker_is_timed_out_and_retried(self, tiny_result):
         plan = FaultPlan(process_faults=(
@@ -400,8 +457,9 @@ class TestSupervisionOverhead:
         polling, result files) races a bare fork ``ProcessPoolExecutor``
         mapping :func:`~repro.experiment.sharding.run_shard` over the
         same tasks, timed from pool creation to the last result. Both
-        fork their workers, so the comparison isolates supervision. Best
-        of five each, alternating, with no flight recorder; a small
+        fork their workers, and every worker writes its event spool in
+        both, so the comparison isolates supervision. Best of five each,
+        alternating, with no flight recorder in the coordinator; a small
         absolute floor absorbs timer noise and the supervisor's 50 ms
         poll interval on a tiny run.
         """
@@ -422,7 +480,7 @@ class TestSupervisionOverhead:
             spill = tmp_path / f"pool{repeat}"
             tasks = [ShardTask(config=config, plan=None, shard=shard,
                                num_shards=2, spill_dir=str(spill),
-                               feed=feed, record_obs=False)
+                               feed=feed)
                      for shard in range(2)]
             started = time.perf_counter()
             with ProcessPoolExecutor(max_workers=2,

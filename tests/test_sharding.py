@@ -13,8 +13,7 @@ from repro import obs
 from repro.errors import ExperimentError
 from repro.experiment import ExperimentConfig, run_experiment
 from repro.experiment import sharding
-from repro.experiment.sharding import (partition, resolve_shards,
-                                       scanner_weight, shard_of,
+from repro.experiment.sharding import (resolve_shards, scanner_weight,
                                        weighted_assignment)
 from repro.scanners.base import (ConstPackets, TemporalBehavior,
                                  TemporalKind, UniformPackets)
@@ -32,21 +31,18 @@ class TestPartitioner:
         ids = (list(range(1, population + 1))
                + list(range(1_000_000, 1_000_000 + population))
                + list(range(2_000_000, 2_000_000 + population)))
-        shards = partition(ids, num_shards)
-        assert len(shards) == num_shards
-        flat = [i for shard in shards for i in shard]
-        assert sorted(flat) == sorted(ids)      # exhaustive
-        assert len(set(flat)) == len(flat)      # disjoint
-        for index, members in enumerate(shards):
-            assert all(shard_of(i, num_shards) == index for i in members)
-
-    def test_partition_is_stable_across_calls(self):
-        ids = list(range(1, 200))
-        assert partition(ids, 5) == partition(ids, 5)
+        agents = [_Agent(i, temporal=TemporalBehavior(TemporalKind.ONE_OFF))
+                  for i in ids]
+        assign = weighted_assignment(agents, num_shards, 1000.0)
+        assert sorted(assign) == sorted(ids)    # exhaustive, one each
+        sizes = [list(assign.values()).count(shard)
+                 for shard in range(num_shards)]
+        assert sum(sizes) == len(ids)           # every shard in range
+        # equal weights deal round-robin: no shard sits idle while
+        # another holds two scanners
+        assert max(sizes) - min(sizes) <= 1
 
     def test_invalid_shard_counts_rejected(self):
-        with pytest.raises(ExperimentError):
-            shard_of(3, 0)
         with pytest.raises(ExperimentError):
             resolve_shards(0)
         with pytest.raises(ExperimentError):
@@ -150,7 +146,7 @@ class TestWeightedAssignment:
     def test_heavy_hitters_split_where_modulo_stacks_them(self):
         population = self._population()
         # modulo-2 puts both heavy hitters (ids 2 and 4) on shard 0 ...
-        assert shard_of(2, 2) == shard_of(4, 2) == 0
+        assert 2 % 2 == 4 % 2 == 0
         # ... LPT places them on different shards
         assign = weighted_assignment(population, 2, self.DURATION)
         assert assign[2] != assign[4]
@@ -300,12 +296,12 @@ class TestDistributedTelemetry:
         assert os.getpid() not in worker_pids
 
     def test_live_fold_equals_snapshot_fold(self, tmp_path):
-        """Live metric-delta streaming must not double count.
+        """Worker counters fold once, whatever else observes the run.
 
-        The same sharded build is run twice: once with an event log
-        (deltas folded live by the spool tailer, final snapshots folded
-        with counters skipped) and once without (final snapshots only).
-        Counter series must agree exactly.
+        The same sharded build is run twice under a recorder: once with
+        an event log and once without. Either way the spool tailer folds
+        the workers' ``metrics.delta`` records live, so the counter
+        series must agree exactly.
         """
         from repro.obs import events as obsevents
 
@@ -337,29 +333,95 @@ class TestDistributedTelemetry:
             with open(obsevents.spool_path(tmp_path, shard), "a") as fh:
                 fh.write(json.dumps(record) + "\n")
 
-        registry = obs.MetricsRegistry()
+        recorder = obs.FlightRecorder()
 
         def executed(shard):
-            return registry.counter("sim.events_executed_total",
-                                    shard=str(shard)).value
+            return recorder.metrics.counter("sim.events_executed_total",
+                                            shard=str(shard)).value
 
-        tailer = sharding.SpoolTailer(tmp_path, 2, registry=registry)
+        tailer = sharding.SpoolTailer(tmp_path, 2, recorder=recorder)
         spool(0, 2)
         spool(1, 5)
         assert tailer.drain() == 2
         assert (executed(0), executed(1)) == (2, 5)
-        assert tailer.folded_shards == {0, 1}
 
         tailer.reset_shard(1)
         assert (executed(0), executed(1)) == (2, 0)
-        assert tailer.folded_shards == {0}
         assert not obsevents.spool_path(tmp_path, 1).exists()
         assert obsevents.spool_path(tmp_path, 0).exists()
 
         spool(1, 3)  # the retry's attempt
         assert tailer.drain() == 1
         assert (executed(0), executed(1)) == (2, 3)
-        assert tailer.folded_shards == {0, 1}
+
+    def test_tailer_keeps_end_and_trace_records(self, tmp_path):
+        """``shard.end`` and ``shard.trace`` are kept for the end-of-run
+        fold (the trace is never forwarded to the event log), and
+        ``reset_shard`` drops a failed attempt's."""
+        import json
+        from repro.obs import events as obsevents
+
+        def spool(shard, *records):
+            with open(obsevents.spool_path(tmp_path, shard), "a") as fh:
+                for record in records:
+                    fh.write(json.dumps(record) + "\n")
+
+        span = {"name": "shard.run", "ph": "X", "ts": 5.0, "dur": 2.0,
+                "pid": 4242, "tid": 1, "args": {}}
+        for shard in (0, 1):
+            spool(shard,
+                  {"kind": "shard.end", "stage_seconds": {"spill": 0.5},
+                   "gauges": {"sim.queue_high_water": 9.0},
+                   "histograms": {}},
+                  {"kind": "shard.trace", "pid": 4242 + shard,
+                   "anchor_wall": 100.0, "events": [dict(span)]})
+        recorder = obs.FlightRecorder()
+        with obsevents.EventLog(tmp_path / "unified.jsonl") as log:
+            tailer = sharding.SpoolTailer(tmp_path, 2, event_log=log,
+                                          recorder=recorder)
+            assert tailer.drain() == 4
+            tailer.reset_shard(1)
+        assert [r["kind"] for r in obsevents.read_events(log.path)] \
+            == ["shard.end", "shard.end"]
+        assert set(tailer.ends) == set(tailer.traces) == {0}
+
+        tailer.fold()
+        gauges = recorder.metrics.snapshot()["gauges"]
+        assert gauges["shard.stage_seconds{shard=0,stage=spill}"] == 0.5
+        assert gauges["sim.queue_high_water{shard=0}"] == 9.0
+        assert recorder.process_names == {4242: "shard 0"}
+        # shifted by the anchor difference onto the recorder's timeline
+        shift_us = (100.0 - recorder.tracer.anchor_wall()) * 1e6
+        (event,) = recorder.foreign_events
+        assert event["ts"] == pytest.approx(5.0 + shift_us, abs=1e4)
+
+    def test_recorder_alone_merges_worker_spans(self):
+        """No event log: the merged trace still has every worker's
+        track and spans, shipped in its ``shard.trace`` spool record."""
+        with obs.FlightRecorder() as recorder:
+            run_experiment(ExperimentConfig.tiny(), shards=2)
+        events = recorder.chrome_trace()["traceEvents"]
+        tracks = {e["args"]["name"]: e["pid"] for e in events
+                  if e.get("ph") == "M"}
+        assert {"coordinator", "shard 0", "shard 1"} <= set(tracks)
+        for shard in (0, 1):
+            names = {e["name"] for e in events if e.get("ph") == "X"
+                     and e["pid"] == tracks[f"shard {shard}"]}
+            assert {"shard.run", "sim.run_until",
+                    "scanner.batch_emit"} <= names
+
+    def test_event_log_alone_records_shard_lifecycle(self, tmp_path):
+        """No recorder: every shard's ``shard.start`` and ``shard.end``
+        still reach the event log."""
+        from repro.obs import events as obsevents
+        assert obs.current() is None
+        with obsevents.EventLog(tmp_path / "events.jsonl") as log:
+            run_experiment(ExperimentConfig.tiny(), shards=2)
+        events = obsevents.read_events(log.path)
+        for kind in ("shard.start", "shard.end"):
+            assert sorted(e["shard"] for e in events
+                          if e["kind"] == kind) == [0, 1]
+        assert not [e for e in events if e["kind"] == "shard.trace"]
 
 
 class TestShardingGuards:
