@@ -114,8 +114,3 @@ class RouteCollector:
             if entry.kind is UpdateKind.ANNOUNCE and entry.prefix == prefix:
                 return entry.time
         return None
-
-    def visible_prefixes(self) -> set[Prefix]:
-        """Prefixes currently announced according to the journal."""
-        return {p for p, kind in self._state.items()
-                if kind is UpdateKind.ANNOUNCE}

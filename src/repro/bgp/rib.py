@@ -119,8 +119,5 @@ class LocRib:
         hit = self._ensure_trie().longest_match(addr)
         return hit[1] if hit else None
 
-    def routes(self) -> list[Route]:
-        return [route for _, route in self._ensure_trie().items()]
-
     def prefixes(self) -> list[Prefix]:
         return [prefix for prefix, _ in self._ensure_trie().items()]

@@ -101,10 +101,10 @@ def build_parser() -> argparse.ArgumentParser:
                          help="arm a fault-injection plan (blackouts, "
                               "BGP flaps, packet loss) from a JSON file")
         cmd.add_argument("--checkpoint-dir", metavar="DIR", default=None,
-                         help="make the build crash-safe: run it as "
-                              "supervised shards (one unless --shards "
-                              "says more) and persist every completed "
-                              "shard in this directory")
+                         help="make the build crash-safe: fan it out to "
+                              "supervised shard workers (one unless "
+                              "--shards says more) and persist every "
+                              "completed shard in this directory")
         cmd.add_argument("--resume", action="store_true",
                          help="continue from --checkpoint-dir instead of "
                               "starting fresh, re-running only the "
@@ -113,12 +113,13 @@ def build_parser() -> argparse.ArgumentParser:
         cmd.add_argument("--shards", metavar="N|auto", default=None,
                          help="build the corpus with N supervised "
                               "worker processes ('auto' = one per CPU); "
-                              "byte-identical to the unsharded build. "
-                              "With --checkpoint-dir, completed shards "
+                              "byte-identical to the in-process build, "
+                              "which is what 1 (the default) runs. With "
+                              "--checkpoint-dir, completed shards "
                               "persist and --resume re-runs only the "
                               "missing ones")
         cmd.add_argument("--shard-retries", metavar="N", type=int,
-                         default=None,
+                         default=3,
                          help="max executions per shard before the run "
                               "fails or degrades (default 3; 1 = fail "
                               "fast)")
@@ -194,11 +195,9 @@ def _simulate(args: argparse.Namespace):
         result = resume_experiment(checkpoint_dir, run_id=run_id,
                                    ledger_dir=ledger_dir)
     else:
-        retries = getattr(args, "shard_retries", None)
         config = ExperimentConfig(
             seed=args.seed, scale=args.scale,
-            retry_policy=({"max_attempts": retries}
-                          if retries is not None else None),
+            shard_attempts=args.shard_retries,
             shard_timeout=getattr(args, "shard_timeout", None),
             on_shard_failure=getattr(args, "on_shard_failure", "raise"))
         faults = None

@@ -59,8 +59,3 @@ class Resolver:
                     if target is not None:
                         resolved[value] = target
         return resolved
-
-    def has_name(self, addr: int | str) -> bool:
-        """True if ``addr`` appears in any AAAA record (forward exposure)."""
-        value = addr_to_int(addr)
-        return any(value in zone.aaaa_addresses() for zone in self._zones)

@@ -10,14 +10,18 @@ File format::
 
 Writes are atomic: the payload goes to a ``.tmp`` sibling, is fsynced,
 and only then renamed over the final name, so a crash mid-write can never
-leave a truncated file under the final name. Readers verify the magic
-and the content checksum and raise :class:`repro.errors.CheckpointError`
-(a :class:`~repro.errors.StoreError`) on any mismatch.
+leave a truncated file under the final name. Readers verify the magic,
+the content checksum and the payload's ``format_version`` and raise
+:class:`repro.errors.CheckpointError` (a :class:`~repro.errors.StoreError`)
+on any mismatch. A change to what the payload pickles (the config's
+fields, say) bumps :data:`FORMAT_VERSION`; an older snapshot is refused
+by that check, not half-loaded.
 """
 
 from __future__ import annotations
 
 import hashlib
+import io
 import os
 import pickle
 from pathlib import Path
@@ -26,7 +30,36 @@ from repro import obs
 from repro.errors import CheckpointError
 
 MAGIC = b"RPCKPT01"
-FORMAT_VERSION = 1
+#: 2: the config's one shard-retry field is the int ``shard_attempts``.
+FORMAT_VERSION = 2
+
+
+class _Gone:
+    """Stand-in for a class a snapshot names but this code no longer
+    defines; it takes any construction arguments and state."""
+
+    def __init__(self, *args, **kwargs) -> None:
+        pass
+
+    def __setstate__(self, state) -> None:
+        pass
+
+
+class _Unpickler(pickle.Unpickler):
+    """Loads a snapshot even when it names classes that have since gone
+    (as :class:`_Gone`), so an older snapshot still reaches the
+    ``format_version`` check instead of failing mid-load."""
+
+    def __init__(self, payload: bytes) -> None:
+        super().__init__(io.BytesIO(payload))
+        self.gone: list[str] = []
+
+    def find_class(self, module: str, name: str):
+        try:
+            return super().find_class(module, name)
+        except (AttributeError, ImportError):
+            self.gone.append(f"{module}.{name}")
+            return _Gone
 
 
 def write_state(path: str | Path, state: dict) -> Path:
@@ -76,8 +109,9 @@ def read_checkpoint(path: str | Path) -> dict:
         raise CheckpointError(
             f"checkpoint {path} failed its content checksum",
             path=path, check="sha256")
+    unpickler = _Unpickler(payload)
     try:
-        state = pickle.loads(payload)
+        state = unpickler.load()
     except Exception as exc:  # unpickling raises a zoo of types
         raise CheckpointError(
             f"checkpoint {path} does not unpickle: {exc}",
@@ -86,7 +120,12 @@ def read_checkpoint(path: str | Path) -> dict:
             or state.get("format_version") != FORMAT_VERSION:
         raise CheckpointError(
             f"checkpoint {path} has unsupported format "
-            f"{state.get('format_version') if isinstance(state, dict) else '?'!r}",
+            f"{state.get('format_version') if isinstance(state, dict) else '?'!r}"
+            f" (this code reads {FORMAT_VERSION}): rebuild the run",
             path=path, check="format_version")
+    if unpickler.gone:
+        raise CheckpointError(
+            f"checkpoint {path} names classes this code does not define: "
+            f"{', '.join(unpickler.gone)}", path=path, check="pickle")
     obs.add("checkpoint.reads_total")
     return state

@@ -3,62 +3,10 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Mapping
 
 from repro.errors import ExperimentError
 from repro.scanners.population import PopulationConfig
 from repro.sim.clock import WEEK
-
-
-@dataclass(frozen=True)
-class RetryPolicy:
-    """Bounded-retry behavior of the shard supervisor (DESIGN §11).
-
-    ``max_attempts`` counts executions, not retries: 1 means fail fast.
-    ``base_delay`` seeds the exponential backoff before attempt ``k+1``
-    (``base_delay * 2**(k-1)`` seconds). ``timeout_factor`` relaxes the
-    per-shard wall-clock timeout on each retry (a shard killed for
-    stalling may simply have landed on a loaded machine), multiplying
-    the derived timeout by ``timeout_factor**(attempt-1)``.
-    """
-
-    max_attempts: int = 3
-    base_delay: float = 0.25
-    timeout_factor: float = 2.0
-
-    def __post_init__(self) -> None:
-        if self.max_attempts < 1:
-            raise ExperimentError(
-                f"retry max_attempts must be >= 1, got {self.max_attempts}")
-        if self.base_delay < 0:
-            raise ExperimentError(
-                f"retry base_delay must be >= 0, got {self.base_delay}")
-        if self.timeout_factor < 1.0:
-            raise ExperimentError(
-                f"retry timeout_factor must be >= 1, "
-                f"got {self.timeout_factor}")
-
-    def delay(self, attempt: int) -> float:
-        """Backoff before launching ``attempt + 1`` (1-based attempts)."""
-        return self.base_delay * (2.0 ** max(0, attempt - 1))
-
-    @classmethod
-    def of(cls, value: "RetryPolicy | Mapping | None") -> "RetryPolicy":
-        """Normalize a config value (policy, kwargs mapping, or None)."""
-        if value is None:
-            return cls()
-        if isinstance(value, cls):
-            return value
-        if isinstance(value, Mapping):
-            unknown = set(value) - {"max_attempts", "base_delay",
-                                    "timeout_factor"}
-            if unknown:
-                raise ExperimentError(
-                    f"unknown retry_policy keys: {sorted(unknown)}")
-            return cls(**value)
-        raise ExperimentError(
-            f"retry_policy must be a RetryPolicy or a mapping, "
-            f"got {type(value).__name__}")
 
 
 #: Valid ``on_shard_failure`` modes: ``raise`` keeps a hard failure
@@ -86,8 +34,9 @@ class ExperimentConfig:
     num_stubs: int = 60
     feed_delay: float = 60.0
     population: PopulationConfig = field(default=None)  # type: ignore[assignment]
-    #: shard-supervision knobs (sharded runs only; see DESIGN §11).
-    retry_policy: RetryPolicy = field(default=None)  # type: ignore[assignment]
+    #: shard-supervision knobs (fan-out runs only; see DESIGN §11).
+    #: executions per shard before it fails or degrades: 1 = fail fast.
+    shard_attempts: int = 3
     #: wall-clock budget in seconds for the heaviest shard's first attempt
     #: (lighter shards get proportionally less). None = no timeout.
     shard_timeout: float | None = None
@@ -103,7 +52,9 @@ class ExperimentConfig:
             raise ExperimentError("invalid experiment timeline")
         if self.population is None:
             self.population = PopulationConfig(scale=self.scale)
-        self.retry_policy = RetryPolicy.of(self.retry_policy)
+        if self.shard_attempts < 1:
+            raise ExperimentError(
+                f"shard_attempts must be >= 1, got {self.shard_attempts}")
         if self.shard_timeout is not None and self.shard_timeout <= 0:
             raise ExperimentError(
                 f"shard_timeout must be > 0, got {self.shard_timeout}")

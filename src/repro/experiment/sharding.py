@@ -34,9 +34,10 @@ and ``tests/test_store_v2.py`` pin this with ``corpus_digest`` as the
 oracle.
 
 Every worker also writes one event spool, its only telemetry channel
-(:func:`run_shard`): the supervisor reads the spool's growth as the
-shard's progress, and a coordinator that observes the run tails it
-into its event log, registry and trace (:class:`SpoolTailer`).
+(:func:`run_shard`). The supervisor's poll loop is its one reader: it
+drains each spool through a :class:`SpoolTailer`, counts a newly
+consumed record as the shard's progress, and passes the records on to
+whatever observes the run (event log, registry, trace).
 
 Workers are stateless: every task rebuilds its world from the picklable
 :class:`ShardTask`, so a fresh worker process executes it correctly, and
@@ -59,7 +60,6 @@ import os
 import shutil
 import signal
 import sys
-import threading
 import time
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -71,7 +71,7 @@ from repro.obs.metrics import _parse_key
 from repro.bgp.collector import CollectorEntry
 from repro.core.columnar import ChunkedPacketTable
 from repro.errors import ExperimentError, ShardError
-from repro.experiment.config import ExperimentConfig, RetryPolicy
+from repro.experiment.config import ExperimentConfig
 from repro.experiment.corpus import TELESCOPE_NAMES
 from repro.experiment.driver import (context_for, deployment_for,
                                      population_for)
@@ -335,8 +335,8 @@ def run_shard(task: ShardTask) -> dict:
     last ``metrics.delta``; ``shard.end`` with the stage seconds and the
     final gauges and histograms; and one ``shard.trace`` holding the
     worker's Chrome span events, pid and tracer wall anchor. The
-    coordinator reads the spool's growth as the shard's progress, and
-    tails it when it observes the run (:class:`SpoolTailer`). The
+    supervisor drains the spool on every poll (:class:`SpoolTailer`),
+    each new record counting as the shard's progress. The
     process-wide event log inherited from the coordinator (fork) is
     saved and restored, never written to from shard code.
     """
@@ -493,17 +493,28 @@ def _worker_main(runner: Callable[[ShardTask], dict], task: ShardTask,
 # -- coordinator -----------------------------------------------------------
 
 
-#: Seconds between the spool tailer's polls of the worker spools.
-TAIL_POLL_SECONDS = 0.25
-
 #: Seconds between the supervisor's polls of its worker processes.
 SUPERVISE_POLL_SECONDS = 0.05
 
+#: Backoff before a shard's attempt ``k + 1``: ``RETRY_BASE_DELAY *
+#: 2**(k - 1)`` seconds (:func:`retry_delay`).
+RETRY_BASE_DELAY = 0.25
+
+#: Each retry multiplies a shard's derived timeout by this factor: a
+#: shard killed for stalling may simply have landed on a loaded machine.
+RETRY_TIMEOUT_FACTOR = 2.0
+
+
+def retry_delay(attempt: int) -> float:
+    """Backoff before launching ``attempt + 1`` (1-based attempts)."""
+    return RETRY_BASE_DELAY * (2.0 ** max(0, attempt - 1))
+
 
 class SpoolTailer:
-    """Tail shard-worker event spools into the coordinator's telemetry.
+    """Read shard-worker event spools into the coordinator's telemetry.
 
-    A daemon thread polls each worker's spool file for complete lines
+    The :class:`ShardSupervisor` calls :meth:`drain` on every poll; it
+    reads each spool's new complete lines
     (:func:`repro.obs.events.iter_complete_lines` — half-written records
     are never parsed), then for every new record:
 
@@ -524,15 +535,10 @@ class SpoolTailer:
     - keeps each shard's latest ``shard.end`` and ``shard.trace``, which
       :meth:`fold` merges into the recorder at the end.
 
-    ``stop()`` performs one final drain, so every record a worker wrote
-    before exiting lands in the unified log even if it arrived between
-    the last poll and shutdown. Counters folded live are exactly the
-    worker's final counters (workers emit a last delta before
-    ``shard.end``). Should the poll thread ever fail to stop within its
-    grace period, the tailer degrades loudly — a warning log, a
-    ``tailer.stalled`` event, a ``tailer.stalled_total`` counter — and
-    still attempts the final drain (with a bounded lock wait) instead of
-    silently dropping whatever the workers spooled last.
+    Without an event log or a recorder the records are still read (and
+    ``shard.end``/``shard.trace`` kept): the supervisor needs them as
+    progress either way. Counters folded live are exactly the worker's
+    final counters (workers emit a last delta before ``shard.end``).
 
     The supervisor calls :meth:`reset_shard` before re-executing a
     failed shard: the spool of the dead attempt is discarded, its
@@ -549,88 +555,43 @@ class SpoolTailer:
         self.num_shards = num_shards
         self.event_log = event_log
         self.recorder = recorder
-        self._offsets = {shard: 0 for shard in range(num_shards)}
-        self._stop = threading.Event()
-        self._thread: threading.Thread | None = None
-        self._lock = threading.Lock()
+        #: per-shard byte offset just past the last record consumed.
+        self._offsets: dict[int, int] = {}
         #: per-shard counter keys folded so far (undone on reset_shard).
         self._folded_keys: dict[int, set[str]] = {}
         #: each shard's latest ``shard.end`` and ``shard.trace`` record.
         self.ends: dict[int, dict] = {}
         self.traces: dict[int, dict] = {}
 
-    def start(self) -> "SpoolTailer":
-        if self._thread is None:
-            self._thread = threading.Thread(
-                target=self._run, name="repro-spool-tailer", daemon=True)
-            self._thread.start()
-        return self
-
-    def stop(self) -> None:
-        self._stop.set()
-        thread, self._thread = self._thread, None
-        if thread is not None:
-            thread.join(timeout=10.0)
-            if thread.is_alive():
-                # the poll thread is wedged (most likely inside a drain
-                # on pathological I/O). Don't drop the remaining spool
-                # records silently: say so, count it, and try a final
-                # drain with a bounded lock wait.
-                _log.warning(
-                    "spool tailer thread failed to stop within 10s; "
-                    "live telemetry is degraded (final records may "
-                    "arrive late or be missing)")
-                obs.add("tailer.stalled_total")
-                obsevents.emit("tailer.stalled", shards=self.num_shards)
-                self.drain(lock_timeout=1.0)
-                return
-        self.drain()  # pick up anything written after the last poll
-
-    def _run(self) -> None:
-        while not self._stop.wait(TAIL_POLL_SECONDS):
-            self.drain()
-
-    def drain(self, lock_timeout: float | None = None) -> int:
-        """Consume all new complete records; returns how many.
-
-        ``lock_timeout`` bounds the wait for the internal lock (used by
-        the stalled-shutdown path); ``None`` waits indefinitely.
-        """
-        if not self._lock.acquire(
-                timeout=-1 if lock_timeout is None else lock_timeout):
-            return 0
-        try:
-            consumed = 0
-            for shard in range(self.num_shards):
-                lines, offset = obsevents.iter_complete_lines(
-                    obsevents.spool_path(self.spool_dir, shard),
-                    self._offsets[shard])
-                self._offsets[shard] = offset
-                for line in lines:
-                    try:
-                        record = json.loads(line)
-                    except json.JSONDecodeError:
-                        continue
-                    if not isinstance(record, dict):
-                        continue
-                    consumed += 1
-                    self._consume(shard, record)
-            return consumed
-        finally:
-            self._lock.release()
+    def drain(self, shard: int | None = None) -> int:
+        """Consume the new complete records of ``shard`` (of every shard
+        when None); returns how many."""
+        if shard is None:
+            return sum(self.drain(s) for s in range(self.num_shards))
+        lines, self._offsets[shard] = obsevents.iter_complete_lines(
+            obsevents.spool_path(self.spool_dir, shard),
+            self._offsets.get(shard, 0))
+        consumed = 0
+        for line in lines:
+            try:
+                record = json.loads(line)
+            except json.JSONDecodeError:
+                continue
+            if isinstance(record, dict):
+                consumed += 1
+                self._consume(shard, record)
+        return consumed
 
     def reset_shard(self, shard: int) -> None:
         """Discard everything tailed from ``shard`` ahead of a retry."""
-        with self._lock:
-            self._offsets[shard] = 0
-            for key in self._folded_keys.pop(shard, set()):
-                name, labels = _parse_key(key)
-                labels["shard"] = str(shard)
-                self.recorder.metrics.counter(name, **labels).reset()
-            self.ends.pop(shard, None)
-            self.traces.pop(shard, None)
-            obsevents.spool_path(self.spool_dir, shard).unlink(
-                missing_ok=True)
+        obsevents.spool_path(self.spool_dir, shard).unlink(missing_ok=True)
+        self._offsets.pop(shard, None)
+        for key in self._folded_keys.pop(shard, set()):
+            name, labels = _parse_key(key)
+            labels["shard"] = str(shard)
+            self.recorder.metrics.counter(name, **labels).reset()
+        self.ends.pop(shard, None)
+        self.traces.pop(shard, None)
 
     def _consume(self, shard: int, record: dict) -> None:
         kind = record.get("kind")
@@ -657,7 +618,7 @@ class SpoolTailer:
 
     def fold(self) -> None:
         """Merge the kept ``shard.end`` and ``shard.trace`` records into
-        the recorder (after :meth:`stop`; a no-op without one).
+        the recorder (after the fan-out; a no-op without one).
 
         Each shard's stage seconds become ``shard.stage_seconds`` gauges
         and its final gauges and histograms merge in, all under
@@ -821,7 +782,6 @@ class _ShardState:
     process: "multiprocessing.process.BaseProcess | None" = None
     started_at: float = 0.0
     last_progress: float = 0.0
-    spool_size: int = -1
     not_before: float = 0.0  # monotonic instant the next attempt may start
     done: bool = False
     quarantined: bool = False
@@ -836,18 +796,21 @@ class ShardSupervisor:
     graceful degradation (DESIGN §11).
 
     Every pending shard runs at once, in its own supervised
-    ``multiprocessing.Process``. The supervisor polls for exits (a
+    ``multiprocessing.Process``. Each poll drains every running shard's
+    event spool through ``tailer`` (a bare :class:`SpoolTailer` over
+    the tasks' spill dir when none is given), then checks for exits (a
     missing result file or nonzero exitcode is a failure, with the
     worker's captured stderr tail as the diagnosis) and enforces
     per-shard wall-clock timeouts derived from the LPT cost model — a
-    shard whose event spool (which every worker writes) stops growing
-    for its budget is declared hung and SIGKILLed. Workers arm
-    ``PR_SET_PDEATHSIG`` so a SIGKILLed coordinator cannot leak orphans
-    into a spill directory a resumed run will reuse.
+    shard that spools no new record for its budget is declared hung and
+    SIGKILLed. Workers arm ``PR_SET_PDEATHSIG`` so a SIGKILLed
+    coordinator cannot leak orphans into a spill directory a resumed
+    run will reuse.
 
-    A failed shard is retried up to ``policy.max_attempts`` times with
-    exponential backoff, its spill and telemetry remnants wiped first so
-    the re-execution is byte-identical to a first try. A shard that
+    A failed shard runs up to ``attempts`` times in all, after
+    exponential backoff (:func:`retry_delay`), its spill and telemetry
+    remnants wiped first so the re-execution is byte-identical to a
+    first try. A shard that
     exhausts its budget raises :class:`~repro.errors.ShardError`
     (strict) or is quarantined (``on_failure="degrade"``) for the driver
     to turn into coverage gaps. Progress is narrated as ``shard.retry``
@@ -856,17 +819,16 @@ class ShardSupervisor:
     """
 
     def __init__(self, tasks: Mapping[int, ShardTask], *,
-                 policy: "RetryPolicy | Mapping | None" = None,
+                 attempts: int = 3,
                  timeouts: Mapping[int, float] | None = None,
                  on_failure: str = "raise",
                  tailer: SpoolTailer | None = None,
                  completed: Mapping[int, dict] | None = None,
                  on_complete: "Callable[[int, dict], None] | None" = None,
                  runner: "Callable[[ShardTask], dict]" = run_shard) -> None:
-        self.policy = RetryPolicy.of(policy)
+        self.attempts = attempts
         self.timeouts = dict(timeouts) if timeouts is not None else None
         self.on_failure = on_failure
-        self.tailer = tailer
         self.on_complete = on_complete
         self.runner = runner
         self.retries = 0
@@ -886,6 +848,8 @@ class ShardSupervisor:
                 f"supervised shard tasks must share one spill dir, "
                 f"got {sorted(map(str, spills))}")
         self.spill_dir = spills.pop()
+        self.tailer = tailer if tailer is not None else SpoolTailer(
+            spool_dir(self.spill_dir), len(tasks))
 
     # -- shared bookkeeping ------------------------------------------------
 
@@ -909,29 +873,21 @@ class ShardSupervisor:
     def _stderr_path(self, shard: int) -> Path:
         return self.spill_dir / f"shard{shard:03d}.stderr"
 
-    def _spool_path(self, shard: int) -> Path:
-        return obsevents.spool_path(spool_dir(self.spill_dir), shard)
-
     def _shard_timeout(self, state: _ShardState) -> float | None:
         if self.timeouts is None:
             return None
         base = self.timeouts.get(state.task.shard)
         if base is None:
             return None
-        return base * (self.policy.timeout_factor ** (state.attempt - 1))
+        return base * RETRY_TIMEOUT_FACTOR ** (state.attempt - 1)
 
     def _cleanup_attempt(self, state: _ShardState) -> None:
         """Wipe every remnant of a failed attempt before re-executing."""
         shard = state.task.shard
         shutil.rmtree(self.spill_dir / f"shard{shard:03d}",
                       ignore_errors=True)
-        # the spool goes before the tailer rewinds, so no drain re-reads
-        # the dead attempt's records from offset zero
-        for path in (self._result_path(shard), self._spool_path(shard)):
-            path.unlink(missing_ok=True)
-        if self.tailer is not None:
-            self.tailer.reset_shard(shard)
-        state.spool_size = -1
+        self._result_path(shard).unlink(missing_ok=True)
+        self.tailer.reset_shard(shard)
 
     def _succeed(self, state: _ShardState, result: dict) -> None:
         result = dict(result, attempts=state.attempt)
@@ -946,10 +902,10 @@ class ShardSupervisor:
         shard = state.task.shard
         state.last_cause = cause
         state.stderr_tail = stderr_tail or state.stderr_tail
-        if state.attempt >= self.policy.max_attempts:
+        if state.attempt >= self.attempts:
             self._exhaust(state)
             return
-        delay = self.policy.delay(state.attempt)
+        delay = retry_delay(state.attempt)
         self.retries += 1
         obs.add("sharding.retries_total")
         obsevents.emit("shard.retry", shard=shard, attempt=state.attempt,
@@ -1019,18 +975,23 @@ class ShardSupervisor:
         state.process = proc
         state.started_at = now
         state.last_progress = now
-        state.spool_size = -1
         _log.debug("shard %d attempt %d launched (pid %d)",
                    shard, state.attempt, proc.pid)
 
-    def _progressed(self, state: _ShardState) -> bool:
-        """Has the shard's event spool grown since the last check?"""
-        try:
-            size = os.path.getsize(self._spool_path(state.task.shard))
-        except OSError:
-            return False
-        if size != state.spool_size:
-            state.spool_size = size
+    def _poll(self, state: _ShardState, now: float) -> bool:
+        """Drain the shard's spool, then reap or time out its worker;
+        True when the worker is gone."""
+        # read the exit status before draining: every record an exited
+        # worker wrote is then on disk and consumed before the reap
+        exited = state.process.exitcode is not None
+        if self.tailer.drain(state.task.shard):
+            state.last_progress = now
+        if exited:
+            self._reap(state)
+            return True
+        timeout = self._shard_timeout(state)
+        if timeout is not None and now - state.last_progress > timeout:
+            self._timeout(state, timeout)
             return True
         return False
 
@@ -1056,36 +1017,18 @@ class ShardSupervisor:
                    _stderr_tail(self._stderr_path(state.task.shard)))
 
     def _run_processes(self, pending: list[_ShardState]) -> None:
-        states = pending
         try:
             while True:
                 now = time.monotonic()
-                active = [s for s in states if not s.done]
+                active = [s for s in pending if not s.done]
                 if not active:
                     return
-                running = [s for s in active if s.process is not None]
                 for state in active:
-                    if state.process is not None \
-                            or state.not_before > now:
-                        continue
-                    self._launch(state)
-                    running.append(state)
+                    if state.process is None and state.not_before <= now:
+                        self._launch(state)
                 moved = False
-                for state in running:
-                    proc = state.process
-                    if proc is None:
-                        continue
-                    if proc.exitcode is not None:
-                        self._reap(state)
-                        moved = True
-                        continue
-                    timeout = self._shard_timeout(state)
-                    if timeout is None:
-                        continue
-                    if self._progressed(state):
-                        state.last_progress = now
-                    elif now - state.last_progress > timeout:
-                        self._timeout(state, timeout)
+                for state in active:
+                    if state.process is not None and self._poll(state, now):
                         moved = True
                 if not moved:
                     time.sleep(SUPERVISE_POLL_SECONDS)
@@ -1106,52 +1049,6 @@ class ShardSupervisor:
         state.process.join()
         state.process = None
         self._fail(state, "timeout")
-
-
-def run_shards(config: ExperimentConfig,
-               plan: FaultPlan | None,
-               num_shards: int,
-               spill_dir: str | Path,
-               feed: tuple[CollectorEntry, ...],
-               run_id: str | None = None,
-               timeouts: Mapping[int, float] | None = None,
-               tailer: SpoolTailer | None = None,
-               completed: Mapping[int, dict] | None = None,
-               on_complete: "Callable[[int, dict], None] | None" = None) \
-        -> list[dict | None]:
-    """Fan the shard tasks out under supervision; results in shard order.
-
-    ``feed`` is the recorded collector journal every worker replays
-    (see :class:`ShardTask`); ``run_id`` is stamped on the workers'
-    spool records and log lines. Every worker spools its telemetry
-    under :func:`spool_dir` of ``spill_dir``; start a
-    :class:`SpoolTailer` over that directory to consume it live and
-    pass it in as ``tailer`` so a retried shard's live-folded counters
-    reset cleanly. All execution goes through the
-    :class:`ShardSupervisor` (one supervised worker process per shard,
-    crash/hang detection and bounded retries per
-    ``config.retry_policy``). ``completed`` pre-seeds manifest-restored
-    shards (skipped, not re-run) and ``on_complete`` fires per fresh
-    completion (the driver records the manifest there). A quarantined
-    shard's slot holds ``None``.
-    """
-    tasks = {
-        index: ShardTask(
-            config=config, plan=plan, shard=index,
-            num_shards=num_shards, spill_dir=str(spill_dir),
-            feed=feed, run_id=run_id)
-        for index in range(num_shards)}
-    supervisor = ShardSupervisor(
-        tasks, policy=config.retry_policy, timeouts=timeouts,
-        on_failure=config.on_shard_failure, tailer=tailer,
-        completed=completed, on_complete=on_complete)
-    ordered = supervisor.run()
-    for res in ordered:
-        if res is None:
-            continue
-        _log.debug("shard %d: %d scanners, %d packets emitted",
-                   res["shard"], res["scanners"], res["packets_emitted"])
-    return ordered
 
 
 def open_shard_segments(results: Sequence[dict]) \

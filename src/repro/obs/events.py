@@ -28,11 +28,12 @@ spool is the worker's only channel to the coordinator: lifecycle
 records, weekly ``heartbeat`` and ``metrics.delta`` records, a
 ``shard.end`` carrying the final gauges and histograms, and one
 ``shard.trace`` carrying the worker's Chrome span events. The
-coordinator reads the spool's growth for hang detection and, when it
-observes the run, tails it (:class:`SpoolTailer` in
-:mod:`repro.experiment.sharding`): every record but ``shard.trace`` is
-:meth:`EventLog.forward`\\ ed into the unified log, preserving the
-worker's timestamps and fields.
+coordinator's shard supervisor drains the spool on every poll (through
+a :class:`SpoolTailer` of :mod:`repro.experiment.sharding`), counting
+each new record as the shard's progress; when the coordinator has an
+event log, every record but ``shard.trace`` is
+:meth:`EventLog.forward`\\ ed into it, preserving the worker's
+timestamps and fields.
 """
 
 from __future__ import annotations

@@ -214,7 +214,7 @@ class FlightRecorder:
         """Emit the counter movement since the last call as one event.
 
         Runs on every heartbeat and at detach; a shard worker calls it
-        once more after its spill, so the coordinator's spool tailer
+        once more after its spill, so the coordinator's shard supervisor
         folds worker counters into its live registry incrementally and
         the deltas over a worker's lifetime sum exactly to its final
         counters.

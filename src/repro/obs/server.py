@@ -49,8 +49,9 @@ class StatusBoard:
 
     Attach with ``event_log.add_listener(board.on_event)``; every field
     the board exposes is derived from events, so the same document works
-    for in-process runs, sharded builds (worker records arrive via the
-    coordinator's spool tailer) and post-hoc replays of an event log.
+    for in-process runs, sharded builds (worker records arrive as the
+    shard supervisor drains their spools) and post-hoc replays of an
+    event log.
     """
 
     def __init__(self, run_id: str | None = None) -> None:

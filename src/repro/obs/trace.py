@@ -5,8 +5,9 @@ through a per-thread stack, carry free-form attributes, and know their
 wall-clock duration. Two export forms:
 
 - :meth:`Tracer.render_tree` — an indented text summary for terminals;
-- :meth:`Tracer.chrome_trace` — Chrome trace-event JSON (``ph: "X"``
-  complete events) loadable in Perfetto / ``chrome://tracing``.
+- :meth:`Tracer.chrome_events` — Chrome trace events (``ph: "X"``
+  complete events), which :meth:`repro.obs.FlightRecorder.chrome_trace`
+  wraps into a document loadable in Perfetto / ``chrome://tracing``.
 
 The tracer never samples the clock unless a span is actually opened, so
 an idle tracer costs nothing.
@@ -217,11 +218,6 @@ class Tracer:
             walk(root)
         events.sort(key=lambda e: e["ts"])
         return events
-
-    def chrome_trace(self) -> dict:
-        """Chrome trace-event JSON object (``traceEvents`` array)."""
-        return {"traceEvents": self.chrome_events(),
-                "displayTimeUnit": "ms"}
 
 
 def process_name_event(pid: int, name: str) -> dict:

@@ -18,9 +18,8 @@ from repro.errors import ExperimentError
 from repro.net.addr import random_bits
 from repro.net.prefix import Prefix
 from repro.scanners.atlas import build_atlas_fleet
-from repro.scanners.base import (ConstPackets, Scanner, SourceModel,
-                                 TemporalBehavior, TemporalKind,
-                                 UniformDelay, UniformPackets)
+from repro.scanners.base import (Scanner, SourceModel, TemporalBehavior,
+                                 TemporalKind, UniformDelay, UniformPackets)
 from repro.scanners.heavyhitter import build_heavy_hitters
 from repro.scanners.netselect import (AllAnnouncedPolicy, AlternatingPolicy,
                                       AnnouncedProvider, CombinedPolicy,
@@ -46,11 +45,6 @@ def uniform_packets(low: int, high: int) \
     if low < 1 or high < low:
         raise ExperimentError(f"invalid session size range [{low}, {high}]")
     return UniformPackets(low, high)
-
-
-def const_packets(n: int) -> Callable[[np.random.Generator], int]:
-    """Session-size sampler: always ``n`` (picklable)."""
-    return ConstPackets(n)
 
 
 @dataclass

@@ -110,6 +110,3 @@ class ASRegistry:
 
     def records(self) -> list[ASRecord]:
         return [self._records[asn] for asn in sorted(self._records)]
-
-    def countries(self) -> set[str]:
-        return {r.country for r in self._records.values()}

@@ -97,11 +97,3 @@ TOOL_SIGNATURES: tuple[ToolSignature, ...] = (
     RIPE_ATLAS, YARRP6, TRACEROUTE, HTRACE6, SIX_SEEKS, SIX_SCAN,
     CAIDA_ARK, SIX_SENSE, ALPHA_STRIKE,
 )
-
-
-def identify_payload(payload: bytes) -> ToolSignature | None:
-    """Match a payload against all known tool signatures."""
-    for signature in TOOL_SIGNATURES:
-        if signature.matches(payload):
-            return signature
-    return None

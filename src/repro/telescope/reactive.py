@@ -8,7 +8,7 @@ echoing arbitrary probes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,33 +29,17 @@ class ReactiveResponder:
     accept_icmpv6: bool = True
     accept_udp: bool = False
     responses_sent: int = 0
-    _responded_ports: dict[int, set[int]] = field(default_factory=dict)
 
     def respond_batch(self, protocol: np.ndarray, dst_hi: np.ndarray,
                       dst_lo: np.ndarray, dst_port: np.ndarray) -> int:
-        """Answer a probe batch; returns how many probes were answered.
-
-        Every answered TCP probe records its port as open on its target.
-        """
+        """Answer a probe batch; returns how many probes were answered."""
         answered = np.zeros(len(protocol), dtype=bool)
-        tcp = protocol == int(TCP)
         if self.accept_tcp:
-            answered |= tcp
+            answered |= protocol == int(TCP)
         if self.accept_icmpv6:
             answered |= protocol == int(ICMPV6)
         if self.accept_udp:
             answered |= protocol == int(UDP)
         count = int(np.count_nonzero(answered))
         self.responses_sent += count
-        if self.accept_tcp and tcp.any():
-            rows = np.flatnonzero(tcp)
-            for hi, lo, port in zip(dst_hi[rows].tolist(),
-                                    dst_lo[rows].tolist(),
-                                    dst_port[rows].tolist()):
-                self._responded_ports.setdefault(
-                    (hi << 64) | lo, set()).add(port)
         return count
-
-    def open_ports(self, addr: int) -> set[int]:
-        """TCP ports this responder has answered on for ``addr``."""
-        return set(self._responded_ports.get(addr, ()))

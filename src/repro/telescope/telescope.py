@@ -70,13 +70,6 @@ class Telescope:
     def packet_count(self) -> int:
         return len(self.capture)
 
-    def covering_prefix(self, addr: int) -> Prefix | None:
-        """Most-specific telescope prefix containing ``addr``."""
-        hits = [p for p in self.prefixes if p.contains_address(addr)]
-        if not hits:
-            return None
-        return max(hits, key=lambda p: p.length)
-
 
 def prefix_router(telescopes: Sequence[Telescope]):
     """A packet router over the telescopes' own, fixed prefixes.

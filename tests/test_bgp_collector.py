@@ -50,16 +50,6 @@ class TestJournal:
         assert kinds == [UpdateKind.ANNOUNCE, UpdateKind.WITHDRAW,
                          UpdateKind.ANNOUNCE]
 
-    def test_visible_prefixes_tracks_state(self, world):
-        sim, network, collector = world
-        speaker = network.speaker(2)
-        speaker.originate(P)
-        sim.run_until(60.0)
-        assert collector.visible_prefixes() == {P}
-        speaker.withdraw_origin(P)
-        sim.run_until(120.0)
-        assert collector.visible_prefixes() == set()
-
 
 class TestSubscription:
     def test_feed_delay_applied(self, world):

@@ -88,5 +88,4 @@ class TestLocRib:
     def test_routes_listing(self):
         rib = LocRib()
         rib.install(route(100, (1,)))
-        assert [r.prefix for r in rib.routes()] == [P]
         assert rib.prefixes() == [P]

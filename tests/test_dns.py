@@ -74,13 +74,6 @@ class TestResolver:
         assert resolver.reverse("2001:db8::1") == "scanner.example.org"
         assert resolver.reverse("2001:db8::2") is None
 
-    def test_has_name(self):
-        zone = Zone(origin="example.net.")
-        zone.add_aaaa("www.example.net.", "2001:db8::1")
-        resolver = Resolver([zone])
-        assert resolver.has_name("2001:db8::1")
-        assert not resolver.has_name("2001:db8::2")
-
     def test_multiple_zones(self):
         a = Zone(origin="a.")
         b = Zone(origin="b.")

@@ -5,12 +5,15 @@ import pytest
 
 from repro.errors import CheckpointError
 from repro.experiment import ExperimentConfig, run_experiment
+from repro.experiment import config as config_module
 from repro.experiment import sharding
-from repro.experiment.checkpoint import read_checkpoint, write_state
+from repro.experiment.checkpoint import (FORMAT_VERSION, read_checkpoint,
+                                         write_state)
 from repro.experiment.driver import resume_experiment
 from repro.experiment.store import corpus_digest
 
-STATE = {"format_version": 1, "sim_time": 0.0, "payload": list(range(64))}
+STATE = {"format_version": FORMAT_VERSION, "sim_time": 0.0,
+         "payload": list(range(64))}
 
 
 class TestFileFormat:
@@ -78,3 +81,27 @@ class TestCheckpointedRun:
     def test_resume_without_checkpoints_fails(self, tmp_path):
         with pytest.raises(CheckpointError):
             resume_experiment(tmp_path)
+
+    def test_resume_refuses_a_format_1_snapshot(self, tmp_path,
+                                                monkeypatch):
+        """A format-1 setup snapshot pickles a config field whose class
+        this code no longer defines: resume names the format version
+        instead of failing to unpickle it."""
+
+        class Knob:
+            pass
+
+        Knob.__module__ = config_module.__name__
+        Knob.__qualname__ = "Knob"
+        config = ExperimentConfig.tiny()
+        del config.shard_attempts
+        config.knob = Knob()
+        with monkeypatch.context() as patch:
+            # the class exists while the snapshot is written, not after
+            patch.setattr(config_module, "Knob", Knob, raising=False)
+            write_state(tmp_path / sharding.SETUP_NAME, {
+                "format_version": 1, "config": config, "plan": None,
+                "num_shards": 2})
+        with pytest.raises(CheckpointError) as exc_info:
+            resume_experiment(tmp_path)
+        assert exc_info.value.check == "format_version"

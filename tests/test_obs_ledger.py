@@ -131,7 +131,7 @@ class TestRunExperimentLedger:
         manifest = ledger.load_manifest(tmp_path, run_id)
         assert manifest["run_id"] == run_id
         assert manifest["seed"] == 42
-        assert manifest["shards"] is None
+        assert manifest["shards"] == 1
         assert manifest["corpus"]["total_packets"] \
             == result.corpus.total_packets()
         assert manifest["corpus_digest"]

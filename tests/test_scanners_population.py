@@ -7,8 +7,7 @@ from repro.errors import ExperimentError
 from repro.net.prefix import Prefix
 from repro.scanners.base import TemporalKind
 from repro.scanners.population import (PopulationConfig, PopulationInputs,
-                                       build_population, const_packets,
-                                       uniform_packets)
+                                       build_population, uniform_packets)
 from repro.scanners.registry import ASRegistry
 from repro.sim.clock import WEEK
 from repro.sim.rng import RngStreams
@@ -49,9 +48,6 @@ class TestHelpers:
             uniform_packets(0, 5)
         with pytest.raises(ExperimentError):
             uniform_packets(5, 2)
-
-    def test_const_packets(self):
-        assert const_packets(7)(None) == 7
 
 
 class TestPopulationConfig:

@@ -2,8 +2,8 @@
 
 Three layers of coverage:
 
-- pure unit tests of the retry policy, timeout derivation, and window
-  merging;
+- pure unit tests of the shard attempts and backoff, timeout
+  derivation, and window merging;
 - supervisor unit tests against throwaway runner functions (a worker
   that always crashes, one that crashes once, one that hangs) — fast,
   no experiment involved;
@@ -34,7 +34,6 @@ from repro.bgp.messages import UpdateKind
 from repro.errors import ExperimentError, ShardError
 from repro.experiment import ExperimentConfig, run_experiment
 from repro.experiment import sharding
-from repro.experiment.config import RetryPolicy
 from repro.experiment.driver import deployment_for, resume_experiment
 from repro.experiment.sharding import ShardSupervisor, ShardTask
 from repro.experiment.store import corpus_digest
@@ -43,52 +42,44 @@ from repro.faults import FaultPlan, ProcessFault
 from repro.obs import events as obsevents
 from repro.sim.rng import RngStreams
 
-#: Fast backoff for tests — semantics identical to the defaults.
-FAST_RETRY = {"max_attempts": 3, "base_delay": 0.05}
+# -- shard attempts and backoff -------------------------------------------
 
 
-# -- retry policy ----------------------------------------------------------
+class _Stop(Exception):
+    """Ends a CLI build before it simulates."""
 
 
-class TestRetryPolicy:
+class TestShardAttempts:
     def test_defaults(self):
-        policy = RetryPolicy()
-        assert policy.max_attempts == 3
-        assert policy.base_delay == 0.25
-        assert policy.timeout_factor == 2.0
+        assert ExperimentConfig().shard_attempts == 3
+        assert sharding.RETRY_BASE_DELAY == 0.25
+        assert sharding.RETRY_TIMEOUT_FACTOR == 2.0
 
     def test_backoff_doubles_per_attempt(self):
-        policy = RetryPolicy(base_delay=0.5)
-        assert policy.delay(1) == 0.5
-        assert policy.delay(2) == 1.0
-        assert policy.delay(3) == 2.0
+        assert [sharding.retry_delay(attempt) for attempt in (1, 2, 3)] \
+            == [0.25, 0.5, 1.0]
 
-    def test_of_accepts_none_policy_and_mapping(self):
-        assert RetryPolicy.of(None) == RetryPolicy()
-        policy = RetryPolicy(max_attempts=5)
-        assert RetryPolicy.of(policy) is policy
-        assert RetryPolicy.of({"max_attempts": 5}).max_attempts == 5
-
-    def test_of_rejects_unknown_keys_and_types(self):
+    @pytest.mark.parametrize("attempts", [0, -1])
+    def test_validation(self, attempts):
         with pytest.raises(ExperimentError):
-            RetryPolicy.of({"attempts": 3})
-        with pytest.raises(ExperimentError):
-            RetryPolicy.of(3)
+            replace(ExperimentConfig.tiny(), shard_attempts=attempts)
 
-    @pytest.mark.parametrize("kwargs", [
-        {"max_attempts": 0},
-        {"base_delay": -1.0},
-        {"timeout_factor": 0.5},
+    @pytest.mark.parametrize("argv,attempts", [
+        ([], 3), (["--shard-retries", "5"], 5), (["--shard-retries", "1"], 1),
     ])
-    def test_validation(self, kwargs):
-        with pytest.raises(ExperimentError):
-            RetryPolicy(**kwargs)
+    def test_shard_retries_flag_sets_attempts(self, monkeypatch, argv,
+                                              attempts):
+        from repro import cli
+        configs = []
 
-    def test_config_normalizes_mapping(self):
-        config = ExperimentConfig.tiny()
-        config = replace(config, retry_policy={"max_attempts": 2})
-        assert isinstance(config.retry_policy, RetryPolicy)
-        assert config.retry_policy.max_attempts == 2
+        def build(config, **kwargs):
+            configs.append(config)
+            raise _Stop
+
+        monkeypatch.setattr(cli, "run_experiment", build)
+        with pytest.raises(_Stop):
+            cli._simulate(cli.build_parser().parse_args(["run", *argv]))
+        assert configs[0].shard_attempts == attempts
 
     def test_config_rejects_bad_failure_mode(self):
         with pytest.raises(ExperimentError):
@@ -184,7 +175,7 @@ class TestSupervisorUnit:
                                                               tmp_path):
         supervisor = ShardSupervisor(
             _make_tasks(tmp_path),
-            policy={"max_attempts": 2, "base_delay": 0.01},
+            attempts=2,
             runner=_boom_runner)
         with pytest.raises(ShardError) as exc_info:
             supervisor.run()
@@ -203,7 +194,7 @@ class TestSupervisorUnit:
     def test_crash_once_is_retried_to_success(self, tmp_path):
         supervisor = ShardSupervisor(
             _make_tasks(tmp_path),
-            policy={"max_attempts": 3, "base_delay": 0.01},
+            attempts=3,
             runner=_flaky_runner)
         results = supervisor.run()
         assert results[0]["shard"] == 0
@@ -213,7 +204,7 @@ class TestSupervisorUnit:
     def test_degrade_quarantines_instead_of_raising(self, tmp_path):
         supervisor = ShardSupervisor(
             _make_tasks(tmp_path),
-            policy={"max_attempts": 2, "base_delay": 0.01},
+            attempts=2,
             on_failure="degrade", runner=_boom_runner)
         results = supervisor.run()
         assert results == [None]
@@ -222,7 +213,7 @@ class TestSupervisorUnit:
     def test_hung_worker_is_killed_on_timeout(self, tmp_path):
         supervisor = ShardSupervisor(
             _make_tasks(tmp_path),
-            policy={"max_attempts": 2, "base_delay": 0.01},
+            attempts=2,
             timeouts={0: 0.3}, on_failure="degrade",
             runner=_hang_runner)
         started = time.monotonic()
@@ -235,12 +226,13 @@ class TestSupervisorUnit:
 
     def test_progressing_worker_outlives_its_budget(self, tmp_path):
         """With nothing observing the run, the budget still counts from
-        the spool's last growth, not from launch: a worker that keeps
-        writing runs three times its budget and is never shot."""
+        the last spool record the supervisor consumed, not from launch:
+        a worker that keeps writing runs three times its budget and is
+        never shot."""
         assert obs.current() is None and obsevents.current() is None
         supervisor = ShardSupervisor(
             _make_tasks(tmp_path),
-            policy={"max_attempts": 1, "base_delay": 0.01},
+            attempts=1,
             timeouts={0: 0.6}, runner=_spooling_runner)
         started = time.monotonic()
         results = supervisor.run()   # a timeout would raise ShardError
@@ -298,7 +290,7 @@ class TestKilledWorkerParity:
         """Under a recorder and an event log, the retried shard's dead
         attempt leaves no trace: one ``shard.run`` span per shard, and
         shard-labelled counters equal to a clean run's."""
-        config = replace(ExperimentConfig.tiny(), retry_policy=FAST_RETRY)
+        config = ExperimentConfig.tiny()
         recorder, result = self._observed(
             config, num_shards, tmp_path / "killed.jsonl",
             faults=_kill_plan(shard=1))
@@ -326,8 +318,7 @@ class TestKilledWorkerParity:
     def test_hung_worker_is_timed_out_and_retried(self, tiny_result):
         plan = FaultPlan(process_faults=(
             ProcessFault(kind="hang_shard", shard=0, at_fraction=0.5),))
-        config = replace(ExperimentConfig.tiny(), retry_policy=FAST_RETRY,
-                         shard_timeout=8.0)
+        config = replace(ExperimentConfig.tiny(), shard_timeout=8.0)
         with obs.FlightRecorder() as recorder:
             result = run_experiment(config, faults=plan, shards=2)
         assert _digest(result) == _digest(tiny_result)
@@ -339,9 +330,7 @@ class TestKilledWorkerParity:
 @pytest.mark.chaos
 class TestExhaustion:
     def test_strict_mode_raises_shard_error(self):
-        config = replace(ExperimentConfig.tiny(),
-                         retry_policy={"max_attempts": 2,
-                                       "base_delay": 0.05})
+        config = replace(ExperimentConfig.tiny(), shard_attempts=2)
         plan = _kill_plan(shard=1, at_fraction=0.3, max_attempt=99)
         with pytest.raises(ShardError) as exc_info:
             run_experiment(config, faults=plan, shards=2)
@@ -349,9 +338,7 @@ class TestExhaustion:
         assert exc_info.value.attempt == 2
 
     def test_degrade_turns_shard_into_coverage_gaps(self, tiny_result):
-        config = replace(ExperimentConfig.tiny(),
-                         retry_policy={"max_attempts": 2,
-                                       "base_delay": 0.05},
+        config = replace(ExperimentConfig.tiny(), shard_attempts=2,
                          on_shard_failure="degrade")
         plan = _kill_plan(shard=1, at_fraction=0.3, max_attempt=99)
         result = run_experiment(config, faults=plan, shards=2)

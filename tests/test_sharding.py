@@ -1,7 +1,7 @@
 """Tests for the sharded multi-process corpus builder (DESIGN §8).
 
 The differential tests use ``corpus_digest`` as the oracle: a sharded
-build must be byte-identical to the unsharded one for any shard count,
+build must be byte-identical to the in-process one for any shard count,
 including under an active fault plan (blackout + flap + delivery loss).
 """
 
@@ -13,6 +13,7 @@ from repro import obs
 from repro.errors import ExperimentError
 from repro.experiment import ExperimentConfig, run_experiment
 from repro.experiment import sharding
+from repro.experiment.driver import STAGES, resume_experiment
 from repro.experiment.sharding import (resolve_shards, scanner_weight,
                                        weighted_assignment)
 from repro.scanners.base import (ConstPackets, TemporalBehavior,
@@ -182,6 +183,12 @@ class TestDigestParity:
             == tiny_result.context.packets_emitted
         assert result.context.packets_unrouted \
             == tiny_result.context.packets_unrouted
+        if num_shards == 1:
+            # one shard simulates in-process: no record pass, no worker
+            assert tuple(result.stage_seconds) == STAGES
+            assert result.shard_stats is None
+            assert not result.stage_cpu_seconds
+            return
         # stage accounting: one shard_simulate stage, per-worker stats
         assert "shard_simulate" in result.stage_seconds
         assert "simulate" not in result.stage_seconds
@@ -196,7 +203,7 @@ class TestDigestParity:
 
     @pytest.mark.parametrize("num_shards", [1, 3])
     def test_faulted_sharded_build_is_byte_identical(self, tiny_result,
-                                                     num_shards):
+                                                     num_shards, tmp_path):
         config = ExperimentConfig.tiny()
         plan = FaultPlan(
             blackouts=(BlackoutWindow("T1", config.duration * 0.2,
@@ -204,13 +211,28 @@ class TestDigestParity:
             flaps=(BgpFlap(config.duration * 0.5, config.duration * 0.52),),
             loss_rate=0.01)
         base = run_experiment(ExperimentConfig.tiny(), faults=plan)
-        shd = run_experiment(ExperimentConfig.tiny(), faults=plan,
-                             shards=num_shards)
+        # one shard fans out only with a checkpoint
+        shd = run_experiment(
+            ExperimentConfig.tiny(), faults=plan, shards=num_shards,
+            checkpoint_dir=tmp_path if num_shards == 1 else None)
+        assert len(shd.shard_stats) == num_shards
         assert corpus_digest(shd.corpus) == corpus_digest(base.corpus)
         assert shd.corpus.coverage_gaps == base.corpus.coverage_gaps
         # faults really bit: fewer packets than the clean tiny corpus
         assert shd.corpus.total_packets() \
             < tiny_result.corpus.total_packets()
+
+    @pytest.mark.parametrize("shards", [None, 2])
+    def test_overlapping_blackouts_merge_into_one_gap(self, shards):
+        """Gap seconds are summed window by window, so every build path
+        stores overlapping blackouts merged."""
+        config = ExperimentConfig.tiny()
+        d = config.duration
+        plan = FaultPlan(blackouts=(BlackoutWindow("T1", 0.2 * d, 0.35 * d),
+                                    BlackoutWindow("T1", 0.3 * d, 0.4 * d)))
+        corpus = run_experiment(config, faults=plan, shards=shards).corpus
+        assert corpus.coverage_gaps["T1"] == ((0.2 * d, 0.4 * d),)
+        assert corpus.covered_fraction("T1") == pytest.approx(0.8)
 
     def test_worker_metrics_fold_into_coordinator(self):
         with obs.FlightRecorder() as recorder:
@@ -422,6 +444,33 @@ class TestDistributedTelemetry:
             assert sorted(e["shard"] for e in events
                           if e["kind"] == kind) == [0, 1]
         assert not [e for e in events if e["kind"] == "shard.trace"]
+
+
+class TestResumeTelemetry:
+    def test_resume_forwards_only_its_own_records(self, tmp_path):
+        """Restored shards ran in the killed run: resuming forwards and
+        folds none of their spooled records, only its own."""
+        from repro.obs import events as obsevents
+        with obsevents.EventLog(tmp_path / "first.jsonl", run_id="first"):
+            run_experiment(ExperimentConfig.tiny(), shards=2,
+                           checkpoint_dir=tmp_path / "ckpt")
+        with obs.FlightRecorder() as recorder, \
+                obsevents.EventLog(tmp_path / "resumed.jsonl",
+                                   run_id="resumed") as log:
+            resumed = resume_experiment(tmp_path / "ckpt")
+        assert {s["shard"] for s in resumed.shard_stats
+                if s.get("restored")} == {0, 1}
+        events = obsevents.read_events(log.path)
+        assert {e["run_id"] for e in events} == {"resumed"}
+        assert sorted(e["shard"] for e in events
+                      if e["kind"] == "shard.skipped") == [0, 1]
+        snapshot = recorder.metrics.snapshot()
+        assert not [key for kind in ("counters", "gauges")
+                    for key in snapshot[kind] if "shard=" in key]
+        tracks = {e["args"]["name"]
+                  for e in recorder.chrome_trace()["traceEvents"]
+                  if e.get("ph") == "M"}
+        assert not [name for name in tracks if name.startswith("shard ")]
 
 
 class TestShardingGuards:

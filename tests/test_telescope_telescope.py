@@ -66,14 +66,6 @@ class TestTelescope:
         assert ctx.packets_unrouted == 1
         assert telescope.packet_count == 0
 
-    def test_covering_prefix(self):
-        narrower = Prefix.parse("3fff:4000:4:1::/64")
-        telescope = Telescope(name="x", kind=TelescopeKind.PASSIVE,
-                              prefixes=[P48, narrower],
-                              capture=PacketCapture())
-        assert telescope.covering_prefix(narrower.network | 1) == narrower
-        assert telescope.covering_prefix(1) is None
-
 
 class TestPrefixRouter:
     def test_most_specific_owner_wins(self):
@@ -103,7 +95,6 @@ class TestReactiveResponder:
                               responder=responder)
         assert telescope.deliver_batch(**probes(P48.network | 1, TCP, 80))
         assert responder.responses_sent == 1
-        assert responder.open_ports(P48.network | 1) == {80}
 
     def test_icmpv6_answered_udp_not(self):
         responder = ReactiveResponder()
